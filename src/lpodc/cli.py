@@ -25,6 +25,10 @@ EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
 
+class InputError(Exception):
+    """Bad input from the command line or environment (exit 2)."""
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lpodc",
@@ -44,7 +48,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 help="preference criterion (lpod only; default: all four)",
             )
         sp.add_argument("--cap", type=int, default=None, help="atom cap (default 24, env LPODC_CAP)")
-        sp.add_argument("--parallel", type=int, default=None, metavar="K", help="solve assumption tuples with K threads")
         sp.add_argument("-o", "--output", metavar="FILE", help="write output here instead of stdout")
         sp.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -69,7 +72,10 @@ def _resolve_cap(args) -> int:
         return args.cap
     env = os.environ.get("LPODC_CAP")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError("LPODC_CAP must be an integer, got %r" % env) from None
     return DEFAULT_ATOM_CAP
 
 
@@ -152,11 +158,8 @@ def cmd_translate(args) -> int:
 
 def _solve_lpod(args, program, cap):
     criteria = _criteria(args)
-    candidates = lpod.assumption_candidates(program, cap=cap, parallel=args.parallel)
-    preferred = {
-        c.value: lpod.preferred(program, c, cap=cap, parallel=args.parallel)
-        for c in criteria
-    }
+    candidates = lpod.assumption_candidates(program, cap=cap)
+    preferred = {c.value: lpod.preferred(program, c, cap=cap) for c in criteria}
     if args.format == "json":
         payload = {
             "candidates": [
@@ -193,8 +196,8 @@ def _solve_lpod(args, program, cap):
 
 def _solve_crp(args, program, cap):
     sigma = program.signature
-    candidates = crp_semantics.candidate_answer_sets(program, cap=cap, parallel=args.parallel)
-    preferred = crp_semantics.preferred_answer_sets(program, cap=cap, parallel=args.parallel)
+    candidates = crp_semantics.candidate_answer_sets(program, cap=cap)
+    preferred = crp_semantics.preferred_answer_sets(program, cap=cap)
     if args.format == "json":
         payload = {
             "candidates": [
@@ -259,9 +262,7 @@ def cmd_check(args) -> int:
                 program = randgen.random_lpod(rng)
             else:
                 program = randgen.random_crp(rng)
-            result = crosscheck.check_program(
-                program, criteria=criteria, cap=cap, parallel=args.parallel
-            )
+            result = crosscheck.check_program(program, criteria=criteria, cap=cap)
             if not result.ok:
                 small = crosscheck.shrink_counterexample(program, cap=cap)
                 print("mismatch on random program %d (seed %d):" % (i, args.seed), file=sys.stderr)
@@ -276,7 +277,7 @@ def cmd_check(args) -> int:
     if program is None:
         return EXIT_INPUT
     criteria = _criteria(args) if program.dialect is Dialect.LPOD else None
-    result = crosscheck.check_program(program, criteria=criteria, cap=cap, parallel=args.parallel)
+    result = crosscheck.check_program(program, criteria=criteria, cap=cap)
     for line in result.lines:
         print(line)
     if not result.ok:
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:

@@ -25,7 +25,7 @@ def _sets(projections) -> frozenset:
     return frozenset(frozenset(s) for s in projections)
 
 
-def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP, parallel=None) -> CheckResult:
+def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckResult:
     """Split-vs-assumption agreement plus, per criterion, oracle-vs-evaluator
     agreement on candidates and preferred answer sets."""
     criteria = list(criteria or lpod.Criterion)
@@ -46,7 +46,7 @@ def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP, parallel=
         oracle_by_tuple.setdefault(c.assumption, set()).add(c.atoms)
     for criterion in criteria:
         doc = translate.lpod2asp_pref(p, criterion)
-        ev = evaluate.eval_lpod(doc, p, criterion, cap=cap, parallel=parallel)
+        ev = evaluate.eval_lpod(doc, cap=cap)
         trans_by_tuple = {xs: set(ev.projections[xs]) for xs in ev.ap_tuples}
         result.add(
             oracle_by_tuple == trans_by_tuple,
@@ -67,7 +67,7 @@ def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP, parallel=
     return result
 
 
-def check_crp(p: Program, cap: int = DEFAULT_ATOM_CAP, parallel=None) -> CheckResult:
+def check_crp(p: Program, cap: int = DEFAULT_ATOM_CAP) -> CheckResult:
     """Host-program semantics vs translation on generalized, candidate and
     preferred answer sets (projected onto the original signature)."""
     result = CheckResult(ok=True)
@@ -85,7 +85,7 @@ def check_crp(p: Program, cap: int = DEFAULT_ATOM_CAP, parallel=None) -> CheckRe
         % len(oracle_gen),
     )
     doc = translate.crp2asp(p)
-    ev = evaluate.eval_crp(doc, p, cap=cap, parallel=parallel)
+    ev = evaluate.eval_crp(doc, cap=cap)
     result.add(
         oracle_gen == _sets(ev.generalized_projections()),
         "generalized answer sets on sigma agree (%d)" % len(oracle_gen),
@@ -101,10 +101,10 @@ def check_crp(p: Program, cap: int = DEFAULT_ATOM_CAP, parallel=None) -> CheckRe
     return result
 
 
-def check_program(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP, parallel=None) -> CheckResult:
+def check_program(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckResult:
     if p.dialect is Dialect.LPOD:
-        return check_lpod(p, criteria=criteria, cap=cap, parallel=parallel)
-    return check_crp(p, cap=cap, parallel=parallel)
+        return check_lpod(p, criteria=criteria, cap=cap)
+    return check_crp(p, cap=cap)
 
 
 def shrink_counterexample(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> Program:

@@ -26,7 +26,6 @@ from .engine import (
     GroundProgram,
     GroundRule,
     answer_sets,
-    parallel_map,
 )
 from .lpod import regular_ground_rules
 from .model import Atom, Dialect, Program, RuleKind, Term
@@ -75,6 +74,32 @@ def _prefer_fact_atoms(p: Program) -> list:
     ]
 
 
+def _closure_rules(terms) -> list:
+    """isPreferred as the transitive closure of prefer over the terms,
+    with a constraint keeping it irreflexive."""
+    rules = []
+    for t1 in terms:
+        for t2 in terms:
+            rules.append(
+                GroundRule(
+                    head=Atom("isPreferred", (t1, t2)),
+                    pos=frozenset({Atom("prefer", (t1, t2))}),
+                )
+            )
+            for t3 in terms:
+                rules.append(
+                    GroundRule(
+                        head=Atom("isPreferred", (t1, t3)),
+                        pos=frozenset(
+                            {Atom("prefer", (t1, t2)), Atom("isPreferred", (t2, t3))}
+                        ),
+                    )
+                )
+    for t in terms:
+        rules.append(GroundRule(head=None, pos=frozenset({Atom("isPreferred", (t, t))})))
+    return rules
+
+
 def build_hpi(p: Program) -> GroundProgram:
     """Host program over sigma plus appl/fired/prefer/isPreferred."""
     if p.dialect is not Dialect.CRP2:
@@ -115,25 +140,7 @@ def build_hpi(p: Program) -> GroundProgram:
     for fact in _prefer_fact_atoms(p):
         rules.append(GroundRule(head=fact))
     terms = _closure_terms(p)
-    for t1 in terms:
-        for t2 in terms:
-            rules.append(
-                GroundRule(
-                    head=Atom("isPreferred", (t1, t2)),
-                    pos=frozenset({Atom("prefer", (t1, t2))}),
-                )
-            )
-            for t3 in terms:
-                rules.append(
-                    GroundRule(
-                        head=Atom("isPreferred", (t1, t3)),
-                        pos=frozenset(
-                            {Atom("prefer", (t1, t2)), Atom("isPreferred", (t2, t3))}
-                        ),
-                    )
-                )
-    for t in terms:
-        rules.append(GroundRule(head=None, pos=frozenset({Atom("isPreferred", (t, t))})))
+    rules.extend(_closure_rules(terms))
     for t1 in terms:
         for t2 in terms:
             rules.append(
@@ -158,9 +165,7 @@ def appl_atom_space(p: Program) -> list:
     return out
 
 
-def generalized_answer_sets(
-    p: Program, cap: int = DEFAULT_ATOM_CAP, parallel=None
-) -> tuple:
+def generalized_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
     """Union over subsets A of appl atoms of the host program's answer sets.
 
     Subsets choosing two positions of the same ordered head are skipped:
@@ -186,17 +191,14 @@ def generalized_answer_sets(
             continue
         subsets.append(chosen)
 
-    def solve_one(chosen):
+    found = set()
+    for chosen in subsets:
         prog = GroundProgram(
             rules=hpi.rules + tuple(GroundRule(head=a) for a in chosen),
             extra_atoms=hpi.atoms,
         )
-        return answer_sets(prog, cap=engine_cap)
-
-    found = []
-    for solutions in parallel_map(solve_one, subsets, parallel):
-        found.extend(GeneralizedAnswerSet(atoms=s.atoms) for s in solutions)
-    return tuple(sorted(set(found), key=GeneralizedAnswerSet.sort_key))
+        found.update(GeneralizedAnswerSet(atoms=s.atoms) for s in answer_sets(prog, cap=engine_cap))
+    return tuple(sorted(found, key=GeneralizedAnswerSet.sort_key))
 
 
 def dominates(s1: GeneralizedAnswerSet, s2: GeneralizedAnswerSet) -> bool:
@@ -211,17 +213,17 @@ def dominates(s1: GeneralizedAnswerSet, s2: GeneralizedAnswerSet) -> bool:
     return any((r1, r2) in pref_pairs for r1 in t1s for r2 in t2s)
 
 
-def candidate_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP, parallel=None) -> tuple:
-    gas = generalized_answer_sets(p, cap=cap, parallel=parallel)
+def candidate_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
+    gas = generalized_answer_sets(p, cap=cap)
     return tuple(
         s for s in gas if not any(other != s and dominates(other, s) for other in gas)
     )
 
 
-def preferred_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP, parallel=None) -> tuple:
+def preferred_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
     """Sigma-projections of candidates with minimal applied-atom sets."""
     sigma = p.signature
-    candidates = candidate_answer_sets(p, cap=cap, parallel=parallel)
+    candidates = candidate_answer_sets(p, cap=cap)
     out = []
     for s in candidates:
         s_appl = s.appl_terms()
@@ -233,7 +235,7 @@ def preferred_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP, parallel=None
     return tuple(projections)
 
 
-def crp_assumption_programs(p: Program, cap: int = DEFAULT_ATOM_CAP) -> dict:
+def crp_assumption_programs(p: Program) -> dict:
     """One ground program per assumption tuple over the per-kind domains.
 
     A cr-rule is dropped for x_i = 0 and becomes a plain rule for x_i = 1;
@@ -251,28 +253,7 @@ def crp_assumption_programs(p: Program, cap: int = DEFAULT_ATOM_CAP) -> dict:
         for r in p.nonregular_rules
         if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR)
     ]
-    closure_rules = []
-    for t1 in cr_like:
-        for t2 in cr_like:
-            closure_rules.append(
-                GroundRule(
-                    head=Atom("isPreferred", (t1, t2)),
-                    pos=frozenset({Atom("prefer", (t1, t2))}),
-                )
-            )
-            for t3 in cr_like:
-                closure_rules.append(
-                    GroundRule(
-                        head=Atom("isPreferred", (t1, t3)),
-                        pos=frozenset(
-                            {Atom("prefer", (t1, t2)), Atom("isPreferred", (t2, t3))}
-                        ),
-                    )
-                )
-    for t in cr_like:
-        closure_rules.append(
-            GroundRule(head=None, pos=frozenset({Atom("isPreferred", (t, t))}))
-        )
+    closure_rules = _closure_rules(cr_like)
     out = {}
     for xs in p.assumption_tuples():
         rules = regular_ground_rules(p)
@@ -304,7 +285,7 @@ def assumption_projections(p: Program, cap: int = DEFAULT_ATOM_CAP) -> frozenset
     if len(sigma) > cap:
         raise CapExceeded(len(sigma), cap)
     out = set()
-    for prog in crp_assumption_programs(p, cap=cap).values():
+    for prog in crp_assumption_programs(p).values():
         for s in answer_sets(prog, cap=len(prog.atoms)):
             out.add(frozenset(a for a in s.atoms if a in sigma))
     return frozenset(out)

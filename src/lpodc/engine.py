@@ -16,7 +16,6 @@ testing of exactly that.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -24,16 +23,6 @@ from typing import Iterable, Optional
 from .model import AnswerSet, Atom
 
 DEFAULT_ATOM_CAP = 24
-
-
-def parallel_map(fn, items, workers: Optional[int]):
-    """Map over independent work units, optionally on a thread pool; the
-    result order always follows the input order."""
-    items = list(items)
-    if workers and workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 class CapExceeded(Exception):

@@ -6,13 +6,13 @@ no atoms), which keeps the search spaces tiny. The cross-tuple layer
 (preference / dominance / candidate / preferred) is then evaluated as a
 stratified bottom-up fixpoint over the collected facts. A monolithic
 grounder for the whole document is kept for consistency checks and debug
-dumps.
+dumps. Grounding and the fixpoint enumerate statement bodies with the same
+join-ordered walker, `_join`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .engine import (
@@ -24,7 +24,6 @@ from .engine import (
     GroundRule,
     WeakConstraint,
     optimal_answer_sets,
-    parallel_map,
 )
 from .model import AnswerSet, Atom, Dialect, Term
 from .translate import (
@@ -44,16 +43,9 @@ from .translate import (
 )
 
 
-class _Unbound(Exception):
-    pass
-
-
 def _eval(e, env, consts):
     if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise _Unbound(e.name)
+        return env[e.name]
     if isinstance(e, (int, str, Term)):
         return e
     if isinstance(e, ConstRef):
@@ -65,6 +57,14 @@ def _eval(e, env, consts):
     if isinstance(e, Fn):
         return Term(e.name, tuple(_eval(a, env, consts) for a in e.args))
     raise TypeError(e)
+
+
+def _args(lit: Lit, env, consts) -> tuple:
+    return tuple(_eval(a, env, consts) for a in lit.args)
+
+
+def _atom(lit: Lit, env, consts) -> Atom:
+    return Atom(lit.pred, _args(lit, env, consts))
 
 
 def _cmp(op: str, lhs, rhs) -> bool:
@@ -92,7 +92,7 @@ def _expr_vars(e, out: set) -> None:
             _expr_vars(a, out)
 
 
-def _item_vars(it, out: set) -> None:
+def _item_vars(it, out: set) -> set:
     if isinstance(it, Lit):
         for a in it.args:
             _expr_vars(a, out)
@@ -109,6 +109,7 @@ def _item_vars(it, out: set) -> None:
         for b in (it.lower, it.upper):
             if b is not None:
                 _expr_vars(b, out)
+    return out
 
 
 def _outer_vars(stmt) -> set:
@@ -130,220 +131,203 @@ def _outer_vars(stmt) -> set:
     return out
 
 
-def _expand_elements(elements, env, consts, domains):
-    """Ground element instances: (atom set, count of true constant items)."""
-    atoms = set()
-    const_true = 0
-    for el in elements:
-        lvars: set = set()
-        if isinstance(el.item, Lit):
-            for a in el.item.args:
-                _expr_vars(a, lvars)
+def _bound(e, env, consts):
+    return None if e is None else _eval(e, env, consts)
+
+
+def _inputs(it, relational: bool, outer) -> frozenset:
+    """Variables that must be bound before a body item can run."""
+    vs: set = set()
+    if isinstance(it, Lit):
+        for a in it.args:
+            # a plain variable of a positive literal binds from the rows
+            if not (relational and not it.neg and isinstance(a, Var)):
+                _expr_vars(a, vs)
+    elif isinstance(it, Cmp):
+        _expr_vars(it.rhs, vs)
+        if not (it.op == "=" and isinstance(it.lhs, Var)):
+            _expr_vars(it.lhs, vs)
+    elif isinstance(it, RangeBind):
+        _expr_vars(it.lo, vs)
+        _expr_vars(it.hi, vs)
+    elif isinstance(it, CountExpr):
+        for b in (it.lower, it.upper):
+            if b is not None:
+                _expr_vars(b, vs)
+        # element variables shared with the rest of the statement must be
+        # bound; the remainder are aggregate-local
+        for el in it.elements:
+            evars: set = set()
+            _item_vars(el.item, evars)
+            vs.update((evars & outer) - {c.var.name for c in el.conds})
+    else:
+        raise TypeError(it)
+    return frozenset(vs)
+
+
+def _match(lit: Lit, row: tuple, env: dict, consts) -> Optional[dict]:
+    """Unify literal args against one relation row; plain unbound variables
+    bind, everything else must evaluate equal."""
+    if len(lit.args) != len(row):
+        return None
+    new = env
+    for a, v in zip(lit.args, row):
+        if isinstance(a, Var) and a.name not in new:
+            if new is env:
+                new = dict(env)
+            new[a.name] = v
+        elif _eval(a, new, consts) != v:
+            return None
+    return new
+
+
+def _join(items, env: dict, consts, domains, outer=frozenset(), relations=None):
+    """Yield (binding, aggregates) for every way to satisfy the body items.
+
+    Items run in join order: the next one is the first whose inputs are
+    bound. `V = e`, `V = lo..hi` and `V = #count{...}` bind an unbound V;
+    when no item can run, the first unbound input of the first pending item
+    is enumerated from its declared domain, and after the last item so are
+    the `outer` variables still unbound. Without `relations` (grounding)
+    literals neither bind nor filter, and a count over non-constant
+    elements becomes an engine aggregate, in body order. With relations,
+    positive literals bind from rows and negative ones filter.
+    """
+    inputs = [_inputs(it, relations is not None, outer) for it in items]
+    every = [frozenset(_item_vars(it, set())) for it in items]
+
+    def step(pending, env, aggs):
+        for pos, k in enumerate(pending):
+            if env.keys() >= inputs[k]:
+                break
         else:
-            _expr_vars(el.item.lhs, lvars)
-            _expr_vars(el.item.rhs, lvars)
-        cond_vars = [c.var.name for c in el.conds]
-        free = [
-            v
-            for v in sorted(lvars)
-            if v not in env and v not in cond_vars
-        ]
-        free_domains = [domains[v] for v in free]
-
-        def emit_with(env2):
-            if isinstance(el.item, Lit):
-                atoms.add(Atom(el.item.pred, tuple(_eval(a, env2, consts) for a in el.item.args)))
-                return 0
-            return 1 if _cmp(el.item.op, _eval(el.item.lhs, env2, consts), _eval(el.item.rhs, env2, consts)) else 0
-
-        def walk_conds(idx, env2):
-            nonlocal const_true
-            if idx == len(el.conds):
-                const_true += emit_with(env2)
+            free = [v for v in (inputs[pending[0]] if pending else outer) if v not in env]
+            if not free:
+                yield env, tuple(agg for _, agg in sorted(aggs))
                 return
-            c = el.conds[idx]
-            lo = _eval(c.lo, env2, consts)
-            hi = _eval(c.hi, env2, consts)
-            if c.var.name in env2:
-                if lo <= env2[c.var.name] <= hi:
-                    walk_conds(idx + 1, env2)
+            var = min(free)
+            if var not in domains:
+                raise KeyError("no domain for variable %s" % var)
+            for value in domains[var]:
+                yield from step(pending, {**env, var: value}, aggs)
+            return
+        it = items[k]
+        rest = pending[:pos] + pending[pos + 1 :]
+        if isinstance(it, Lit):
+            if relations is None:
+                # the atom is built from the final binding
+                yield from step(rest, env, aggs)
                 return
-            for v in range(lo, hi + 1):
-                env3 = dict(env2)
-                env3[c.var.name] = v
-                walk_conds(idx + 1, env3)
+            rows = relations.get(it.pred, ())
+            if it.neg or env.keys() >= every[k]:
+                if (_args(it, env, consts) in rows) != it.neg:
+                    yield from step(rest, env, aggs)
+                return
+            for row in rows:
+                env2 = _match(it, row, env, consts)
+                if env2 is not None:
+                    yield from step(rest, env2, aggs)
+        elif isinstance(it, Cmp):
+            if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
+                yield from step(rest, {**env, it.lhs.name: _eval(it.rhs, env, consts)}, aggs)
+            elif _cmp(it.op, _eval(it.lhs, env, consts), _eval(it.rhs, env, consts)):
+                yield from step(rest, env, aggs)
+        elif isinstance(it, RangeBind):
+            lo, hi = _eval(it.lo, env, consts), _eval(it.hi, env, consts)
+            name = it.var.name
+            if name not in env:
+                for v in range(lo, hi + 1):
+                    yield from step(rest, {**env, name: v}, aggs)
+            elif lo <= env[name] <= hi:
+                yield from step(rest, env, aggs)
+        else:
+            atoms, n = _elements(it.elements, env, consts, domains, relations)
+            if it.bind is not None:
+                if atoms:
+                    raise ValueError("count assignment over non-constant elements")
+                name = it.bind.name
+                if name not in env:
+                    yield from step(rest, {**env, name: n}, aggs)
+                elif env[name] == n:
+                    yield from step(rest, env, aggs)
+                return
+            lower, upper = _bound(it.lower, env, consts), _bound(it.upper, env, consts)
+            if atoms:
+                agg = CountAggregate(atoms=frozenset(atoms), fixed=n, lower=lower, upper=upper)
+                yield from step(rest, env, aggs + ((k, agg),))
+            elif (lower is None or n >= lower) and (upper is None or n <= upper):
+                yield from step(rest, env, aggs)
 
-        for combo in product(*free_domains):
-            env2 = dict(env)
-            env2.update(zip(free, combo))
-            walk_conds(0, env2)
-    return atoms, const_true
+    yield from step(tuple(range(len(items))), env, ())
+
+
+def _elements(elements, env, consts, domains, relations=None):
+    """Aggregate or choice elements under one binding: the atoms of literal
+    elements (grounding), and how many instances hold. A comparison counts
+    once per satisfying binding, a literal once per distinct matching row."""
+    atoms, n = set(), 0
+    for el in elements:
+        found = set()
+        for env2, _ in _join(el.conds + (el.item,), env, consts, domains, relations=relations):
+            if isinstance(el.item, Cmp):
+                n += 1
+            else:
+                found.add(_atom(el.item, env2, consts))
+        if relations is None:
+            atoms |= found
+        else:
+            n += len(found)
+    return atoms, n
 
 
 def _ground_statement(stmt, doc: AspDocument, fixed: dict):
     """Yield engine rules / weak constraints for one statement."""
-    consts = dict(doc.constants)
-    domains = dict(stmt.var_domains)
     if isinstance(stmt, FactPoolStmt):
         for v in stmt.values:
             yield GroundRule(head=Atom(stmt.pred, (v,)))
         return
-    outer = _outer_vars(stmt)
-    # variables bound inline while walking the body; only those without a
-    # declared domain, everything else is enumerated up front and filtered
-    binder_vars = {
-        it.var.name
-        for it in stmt.body
-        if isinstance(it, RangeBind) and it.var.name not in domains
-    }
-    for it in stmt.body:
-        if (
-            isinstance(it, Cmp)
-            and it.op == "="
-            and isinstance(it.lhs, Var)
-            and it.lhs.name not in domains
-        ):
-            binder_vars.add(it.lhs.name)
-        if isinstance(it, CountExpr) and it.bind is not None:
-            binder_vars.add(it.bind.name)
-    names = [
-        v
-        for v in sorted(outer)
-        if v not in fixed and v not in binder_vars
-    ]
-    for v in names:
-        if v not in domains:
-            raise KeyError("no domain for variable %s in %r" % (v, stmt.tag))
-    body = list(stmt.body)
+    consts = dict(doc.constants)
+    domains = dict(stmt.var_domains)
+    lits = [it for it in stmt.body if isinstance(it, Lit)]
+    for env, aggs in _join(stmt.body, fixed, consts, domains, _outer_vars(stmt)):
+        pos = frozenset(_atom(l, env, consts) for l in lits if not l.neg)
+        neg = frozenset(_atom(l, env, consts) for l in lits if l.neg)
+        if isinstance(stmt, WeakStmt):
+            terms = tuple(_eval(t, env, consts) for t in stmt.terms)
+            yield WeakConstraint(pos=pos, neg=neg, aggregates=aggs, weight=stmt.weight, terms=terms)
+            continue
+        head = stmt.head
+        if isinstance(head, Lit):
+            head = _atom(head, env, consts)
+        elif head is not None:
+            atoms, n = _elements(head.elements, env, consts, domains)
+            if n:
+                raise ValueError("constant elements in a choice head")
+            head = ChoiceHead(
+                atoms=tuple(sorted(atoms, key=Atom.sort_key)),
+                lower=_bound(head.lower, env, consts),
+                upper=_bound(head.upper, env, consts),
+            )
+        yield GroundRule(head=head, pos=pos, neg=neg, aggregates=aggs)
 
-    def finish(env):
-        pos, neg, aggs = [], [], []
 
-        def walk(idx, env):
-            if idx == len(body):
-                yield from build(env)
-                return
-            it = body[idx]
-            if isinstance(it, Lit):
-                atom = Atom(it.pred, tuple(_eval(a, env, consts) for a in it.args))
-                (neg if it.neg else pos).append(atom)
-                yield from walk(idx + 1, env)
-                (neg if it.neg else pos).pop()
-            elif isinstance(it, Cmp):
-                if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
-                    env2 = dict(env)
-                    env2[it.lhs.name] = _eval(it.rhs, env, consts)
-                    yield from walk(idx + 1, env2)
-                elif _cmp(it.op, _eval(it.lhs, env, consts), _eval(it.rhs, env, consts)):
-                    yield from walk(idx + 1, env)
-            elif isinstance(it, RangeBind):
-                lo = _eval(it.lo, env, consts)
-                hi = _eval(it.hi, env, consts)
-                if it.var.name in env:
-                    if lo <= env[it.var.name] <= hi:
-                        yield from walk(idx + 1, env)
-                    return
-                for v in range(lo, hi + 1):
-                    env2 = dict(env)
-                    env2[it.var.name] = v
-                    yield from walk(idx + 1, env2)
-            elif isinstance(it, CountExpr):
-                atoms, const_true = _expand_elements(it.elements, env, consts, domains)
-                if it.bind is not None:
-                    if atoms:
-                        raise ValueError("count assignment over non-constant elements")
-                    name = it.bind.name
-                    if name in env:
-                        if env[name] == const_true:
-                            yield from walk(idx + 1, env)
-                        return
-                    env2 = dict(env)
-                    env2[name] = const_true
-                    yield from walk(idx + 1, env2)
-                    return
-                lower = _eval(it.lower, env, consts) if it.lower is not None else None
-                upper = _eval(it.upper, env, consts) if it.upper is not None else None
-                if not atoms:
-                    ok = (lower is None or const_true >= lower) and (
-                        upper is None or const_true <= upper
-                    )
-                    if ok:
-                        yield from walk(idx + 1, env)
-                    return
-                aggs.append(
-                    CountAggregate(
-                        atoms=frozenset(atoms), fixed=const_true, lower=lower, upper=upper
-                    )
-                )
-                yield from walk(idx + 1, env)
-                aggs.pop()
-            else:
-                raise TypeError(it)
-
-        def build(env):
-            if isinstance(stmt, WeakStmt):
-                yield WeakConstraint(
-                    pos=frozenset(pos),
-                    neg=frozenset(neg),
-                    aggregates=tuple(aggs),
-                    weight=stmt.weight,
-                    terms=tuple(_eval(t, env, consts) for t in stmt.terms),
-                )
-                return
-            head = stmt.head
-            if head is None:
-                yield GroundRule(head=None, pos=frozenset(pos), neg=frozenset(neg), aggregates=tuple(aggs))
-            elif isinstance(head, Lit):
-                atom = Atom(head.pred, tuple(_eval(a, env, consts) for a in head.args))
-                yield GroundRule(head=atom, pos=frozenset(pos), neg=frozenset(neg), aggregates=tuple(aggs))
-            else:
-                atoms, const_true = _expand_elements(head.elements, env, consts, domains)
-                if const_true:
-                    raise ValueError("constant elements in a choice head")
-                lower = _eval(head.lower, env, consts) if head.lower is not None else None
-                upper = _eval(head.upper, env, consts) if head.upper is not None else None
-                yield GroundRule(
-                    head=ChoiceHead(
-                        atoms=tuple(sorted(atoms, key=Atom.sort_key)), lower=lower, upper=upper
-                    ),
-                    pos=frozenset(pos),
-                    neg=frozenset(neg),
-                    aggregates=tuple(aggs),
-                )
-
-        yield from walk(0, env)
-
-    for combo in product(*(domains[v] for v in names)):
-        env = dict(fixed)
-        env.update(zip(names, combo))
-        yield from finish(env)
+def _ground(doc: AspDocument, statements, fixed: dict) -> GroundProgram:
+    rules, weak = [], []
+    for stmt in statements:
+        for obj in _ground_statement(stmt, doc, fixed):
+            (weak if isinstance(obj, WeakConstraint) else rules).append(obj)
+    return GroundProgram(rules=tuple(rules), weak=tuple(weak))
 
 
 def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
     """Partial ground program for one assumption tuple."""
     fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
-    rules, weak = [], []
-    for stmt in doc.statements:
-        if stmt.phase != "tuple":
-            continue
-        for obj in _ground_statement(stmt, doc, fixed):
-            if isinstance(obj, WeakConstraint):
-                weak.append(obj)
-            else:
-                rules.append(obj)
-    return GroundProgram(rules=tuple(rules), weak=tuple(weak))
+    return _ground(doc, [s for s in doc.statements if s.phase == "tuple"], fixed)
 
 
 def ground_document(doc: AspDocument) -> GroundProgram:
     """Monolithic grounding of every statement over the full tuple space."""
-    rules, weak = [], []
-    for stmt in doc.statements:
-        for obj in _ground_statement(stmt, doc, {}):
-            if isinstance(obj, WeakConstraint):
-                weak.append(obj)
-            else:
-                rules.append(obj)
-    return GroundProgram(rules=tuple(rules), weak=tuple(weak))
+    return _ground(doc, doc.statements, {})
 
 
 def shrink(atoms: frozenset, xs: tuple, sigma: frozenset) -> AnswerSet:
@@ -407,196 +391,10 @@ def _stratify(statements) -> list:
     return [strata[k] for k in sorted(strata)]
 
 
-def _match(lit: Lit, row: tuple, env: dict, consts) -> Optional[dict]:
-    """Unify literal args against one relation row; plain unbound variables
-    bind, everything else must evaluate equal."""
-    if len(lit.args) != len(row):
-        return None
-    new = env
-    copied = False
-    for a, v in zip(lit.args, row):
-        if isinstance(a, Var) and a.name not in new:
-            if not copied:
-                new = dict(new)
-                copied = True
-            new[a.name] = v
-        else:
-            try:
-                if _eval(a, new, consts) != v:
-                    return None
-            except _Unbound:
-                return None
-    return new if copied else dict(env)
-
-
-def _count_join(count: CountExpr, env, consts, domains, relations) -> int:
-    total = 0
-    for el in count.elements:
-        lvars: set = set()
-        if isinstance(el.item, Lit):
-            for a in el.item.args:
-                _expr_vars(a, lvars)
-        else:
-            _expr_vars(el.item.lhs, lvars)
-            _expr_vars(el.item.rhs, lvars)
-        cond_vars = [c.var.name for c in el.conds]
-        free = [v for v in sorted(lvars) if v not in env and v not in cond_vars]
-        seen = set()
-
-        def visit(env2):
-            nonlocal total
-            if isinstance(el.item, Lit):
-                args = tuple(_eval(a, env2, consts) for a in el.item.args)
-                if args not in seen and args in relations.get(el.item.pred, ()):
-                    seen.add(args)
-                    total += 1
-            else:
-                if _cmp(el.item.op, _eval(el.item.lhs, env2, consts), _eval(el.item.rhs, env2, consts)):
-                    total += 1
-
-        def walk_conds(idx, env2):
-            if idx == len(el.conds):
-                visit(env2)
-                return
-            c = el.conds[idx]
-            lo = _eval(c.lo, env2, consts)
-            hi = _eval(c.hi, env2, consts)
-            if c.var.name in env2:
-                if lo <= env2[c.var.name] <= hi:
-                    walk_conds(idx + 1, env2)
-                return
-            for v in range(lo, hi + 1):
-                env3 = dict(env2)
-                env3[c.var.name] = v
-                walk_conds(idx + 1, env3)
-
-        for combo in product(*(domains[v] for v in free)):
-            env2 = dict(env)
-            env2.update(zip(free, combo))
-            walk_conds(0, env2)
-    return total
-
-
 def _eval_rule_join(stmt: RuleStmt, relations: dict, consts: dict) -> set:
     """Derive new head rows by joining the body against current relations."""
-    domains = dict(stmt.var_domains)
-    outer = _outer_vars(stmt)
-    derived = set()
-    body = list(stmt.body)
-
-    def emit(env):
-        args = tuple(_eval(a, env, consts) for a in stmt.head.args)
-        derived.add(args)
-
-    def _has_unbound(lit: Lit, env) -> bool:
-        vs: set = set()
-        for a in lit.args:
-            _expr_vars(a, vs)
-        return any(v not in env for v in vs)
-
-    def ready(it, env) -> bool:
-        vs: set = set()
-        if isinstance(it, Lit):
-            if it.neg:
-                return not _has_unbound(it, env)
-            # composite arguments cannot bind; they must be evaluable
-            for a in it.args:
-                if not isinstance(a, Var):
-                    inner: set = set()
-                    _expr_vars(a, inner)
-                    if any(v not in env for v in inner):
-                        return False
-            return True
-        if isinstance(it, Cmp):
-            if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
-                vs = set()
-                _expr_vars(it.rhs, vs)
-                return all(v in env for v in vs)
-            _item_vars(it, vs)
-            return all(v in env for v in vs)
-        if isinstance(it, RangeBind):
-            vs = set()
-            _expr_vars(it.lo, vs)
-            _expr_vars(it.hi, vs)
-            return all(v in env for v in vs)
-        if isinstance(it, CountExpr):
-            for b in (it.lower, it.upper):
-                if b is not None:
-                    _expr_vars(b, vs)
-            # element variables shared with the rest of the statement must
-            # already be bound; the remainder are aggregate-local
-            for el in it.elements:
-                evars: set = set()
-                if isinstance(el.item, Lit):
-                    for a in el.item.args:
-                        _expr_vars(a, evars)
-                else:
-                    _expr_vars(el.item.lhs, evars)
-                    _expr_vars(el.item.rhs, evars)
-                cond_vars = {c.var.name for c in el.conds}
-                vs.update(v for v in evars if v in outer and v not in cond_vars)
-            return all(v in env for v in vs)
-        return False
-
-    def walk(pending, env):
-        if not pending:
-            emit(env)
-            return
-        for k, it in enumerate(pending):
-            if not ready(it, env):
-                continue
-            rest = pending[:k] + pending[k + 1 :]
-            if isinstance(it, Lit) and not it.neg:
-                for row in relations.get(it.pred, ()):
-                    env2 = _match(it, row, env, consts)
-                    if env2 is not None:
-                        walk(rest, env2)
-                return
-            if isinstance(it, Lit):
-                args = tuple(_eval(a, env, consts) for a in it.args)
-                if args not in relations.get(it.pred, ()):
-                    walk(rest, env)
-                return
-            if isinstance(it, Cmp):
-                if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
-                    env2 = dict(env)
-                    env2[it.lhs.name] = _eval(it.rhs, env, consts)
-                    walk(rest, env2)
-                elif _cmp(it.op, _eval(it.lhs, env, consts), _eval(it.rhs, env, consts)):
-                    walk(rest, env)
-                return
-            if isinstance(it, RangeBind):
-                lo = _eval(it.lo, env, consts)
-                hi = _eval(it.hi, env, consts)
-                if it.var.name in env:
-                    if lo <= env[it.var.name] <= hi:
-                        walk(rest, env)
-                    return
-                for v in range(lo, hi + 1):
-                    env2 = dict(env)
-                    env2[it.var.name] = v
-                    walk(rest, env2)
-                return
-            if isinstance(it, CountExpr):
-                n = _count_join(it, env, consts, domains, relations)
-                if it.bind is not None:
-                    if it.bind.name in env:
-                        if env[it.bind.name] == n:
-                            walk(rest, env)
-                        return
-                    env2 = dict(env)
-                    env2[it.bind.name] = n
-                    walk(rest, env2)
-                    return
-                lower = _eval(it.lower, env, consts) if it.lower is not None else None
-                upper = _eval(it.upper, env, consts) if it.upper is not None else None
-                if (lower is None or n >= lower) and (upper is None or n <= upper):
-                    walk(rest, env)
-                return
-        raise RuntimeError("no evaluable body item in %r" % stmt.tag)
-
-    walk(body, {})
-    return derived
+    joined = _join(stmt.body, {}, consts, dict(stmt.var_domains), _outer_vars(stmt), relations)
+    return {_args(stmt.head, env, consts) for env, _ in joined}
 
 
 def evaluate_global_layer(doc: AspDocument, seed_relations: dict) -> dict:
@@ -663,54 +461,35 @@ class EvaluatedTranslation:
         return self._project(self.pas_tuples())
 
 
-def _solve_tuple(doc: AspDocument, xs: tuple):
+def _solve_tuple(doc: AspDocument, xs: tuple) -> list:
+    """Optimal models of one tuple's program that contain its ap atom."""
     prog = tuple_ground_program(doc, xs)
-    cap = len(prog.atoms)
-    best = optimal_answer_sets(prog, cap=cap)
+    best = optimal_answer_sets(prog, cap=len(prog.atoms))
     ap_atom = Atom("ap", xs)
-    consistent = [s for s in best if ap_atom in s.atoms]
-    return xs, consistent
+    return [s for s in best if ap_atom in s.atoms]
 
 
-def _solve_all(doc: AspDocument, parallel: Optional[int] = None):
-    return parallel_map(lambda xs: _solve_tuple(doc, xs), doc.tuple_space(), parallel)
-
-
-def eval_lpod(
-    doc: AspDocument,
-    p,
-    criterion,
-    cap: int = DEFAULT_ATOM_CAP,
-    parallel: Optional[int] = None,
-) -> EvaluatedTranslation:
-    """Per-tuple solving plus the criterion layer as a stratified fixpoint."""
+def _solve_tuples(doc: AspDocument, cap: int) -> dict:
+    """Consistent tuples, in tuple-space order, mapped to their models."""
     if len(doc.sigma) > cap:
         raise CapExceeded(len(doc.sigma), cap)
-    sigma = doc.sigma
-    ap_tuples = []
-    projections = {}
-    degrees = {}
-    degree_rows = set()
-    for xs, models in _solve_all(doc, parallel=parallel):
-        if not models:
-            continue
-        ap_tuples.append(xs)
-        projections[xs] = tuple(
-            sorted({shrink(s.atoms, xs, sigma).atoms for s in models}, key=sorted_key)
-        )
-        degs = None
-        for s in models:
-            for a in s.atoms:
-                if a.predicate == "degree":
-                    degs = tuple(a.args[1:])
-                    degree_rows.add(tuple(a.args))
-        degrees[xs] = degs
-    seed = {"ap": {xs for xs in ap_tuples}, "degree": degree_rows}
-    relations = evaluate_global_layer(doc, seed)
+    solved = {}
+    for xs in doc.tuple_space():
+        models = _solve_tuple(doc, xs)
+        if models:
+            solved[xs] = models
+    return solved
+
+
+def _evaluated(doc: AspDocument, solved: dict, degrees: dict, relations: dict) -> EvaluatedTranslation:
+    projections = {
+        xs: tuple(sorted({shrink(s.atoms, xs, doc.sigma).atoms for s in models}, key=sorted_key))
+        for xs, models in solved.items()
+    }
     return EvaluatedTranslation(
-        dialect=Dialect.LPOD,
-        sigma=sigma,
-        ap_tuples=tuple(sorted(ap_tuples)),
+        dialect=doc.dialect,
+        sigma=doc.sigma,
+        ap_tuples=tuple(sorted(solved)),
         projections=projections,
         degrees=degrees,
         relations=relations,
@@ -718,38 +497,35 @@ def eval_lpod(
     )
 
 
-def eval_crp(
-    doc: AspDocument, p, cap: int = DEFAULT_ATOM_CAP, parallel: Optional[int] = None
-) -> EvaluatedTranslation:
-    """Per-tuple solving plus dominance/candidate/preferred layers."""
-    if len(doc.sigma) > cap:
-        raise CapExceeded(len(doc.sigma), cap)
-    sigma = doc.sigma
-    ap_tuples = []
-    projections = {}
-    ispref_rows = set()
-    for xs, models in _solve_all(doc, parallel=parallel):
-        if not models:
-            continue
-        ap_tuples.append(xs)
-        projections[xs] = tuple(
-            sorted({shrink(s.atoms, xs, sigma).atoms for s in models}, key=sorted_key)
-        )
+def eval_lpod(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTranslation:
+    """Per-tuple solving plus the criterion layer as a stratified fixpoint."""
+    solved = _solve_tuples(doc, cap)
+    degrees = {}
+    degree_rows = set()
+    for xs, models in solved.items():
+        degs = None
         for s in models:
             for a in s.atoms:
-                if a.predicate == "isPreferred":
-                    ispref_rows.add(tuple(a.args))
-    seed = {"ap": {xs for xs in ap_tuples}, "isPreferred": ispref_rows}
-    relations = evaluate_global_layer(doc, seed)
-    return EvaluatedTranslation(
-        dialect=Dialect.CRP2,
-        sigma=sigma,
-        ap_tuples=tuple(sorted(ap_tuples)),
-        projections=projections,
-        degrees={},
-        relations=relations,
-        criterion=None,
-    )
+                if a.predicate == "degree":
+                    degs = tuple(a.args[1:])
+                    degree_rows.add(tuple(a.args))
+        degrees[xs] = degs
+    relations = evaluate_global_layer(doc, {"ap": set(solved), "degree": degree_rows})
+    return _evaluated(doc, solved, degrees, relations)
+
+
+def eval_crp(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTranslation:
+    """Per-tuple solving plus dominance/candidate/preferred layers."""
+    solved = _solve_tuples(doc, cap)
+    ispref_rows = {
+        tuple(a.args)
+        for models in solved.values()
+        for s in models
+        for a in s.atoms
+        if a.predicate == "isPreferred"
+    }
+    relations = evaluate_global_layer(doc, {"ap": set(solved), "isPreferred": ispref_rows})
+    return _evaluated(doc, solved, {}, relations)
 
 
 def sorted_key(atoms: frozenset):

@@ -17,11 +17,11 @@ from typing import Optional
 
 from .engine import (
     DEFAULT_ATOM_CAP,
+    CapExceeded,
     ChoiceHead,
     GroundProgram,
     GroundRule,
     answer_sets,
-    parallel_map,
 )
 from .model import Atom, Dialect, Program, Rule, RuleKind, satisfies
 
@@ -157,27 +157,21 @@ def degrees_from_atoms(p: Program, atoms: frozenset) -> tuple:
     return tuple(degs)
 
 
-def assumption_candidates(
-    p: Program, cap: int = DEFAULT_ATOM_CAP, parallel: Optional[int] = None
-) -> tuple:
+def assumption_candidates(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
     """Candidates named by their assumption tuple, degrees attached.
 
-    Tuples solve independently (their programs share no search state), so
-    they may be distributed over threads; the aggregation is order-free.
+    The cap bounds the original signature; each assumption program adds
+    one body atom per ordered rule on top of it.
     """
     if p.dialect is not Dialect.LPOD:
         raise ValueError("assumption candidates are defined for the lpod dialect")
     sigma = p.signature
+    if len(sigma) > cap:
+        raise CapExceeded(len(sigma), cap)
     m = len(p.nonregular_rules)
-
-    def solve_one(xs):
-        prog = assumption_program(p, xs)
-        return xs, answer_sets(prog, cap=cap + m)
-
-    results = parallel_map(solve_one, p.assumption_tuples(), parallel)
     found = {}
-    for xs, solutions in results:
-        for s in solutions:
+    for xs in p.assumption_tuples():
+        for s in answer_sets(assumption_program(p, xs), cap=cap + m):
             atoms = frozenset(a for a in s.atoms if a in sigma)
             degs = degrees_from_assumption(xs)
             assert degs == degrees_from_atoms(p, atoms), "degree bookkeeping diverged"
@@ -231,14 +225,9 @@ def compare(s1: CandidateAnswerSet, s2: CandidateAnswerSet, criterion: Criterion
     return Comparison.NEITHER
 
 
-def preferred(
-    p: Program,
-    criterion: Criterion,
-    cap: int = DEFAULT_ATOM_CAP,
-    parallel: Optional[int] = None,
-) -> tuple:
+def preferred(p: Program, criterion: Criterion, cap: int = DEFAULT_ATOM_CAP) -> tuple:
     """Candidates that no other candidate beats under the criterion."""
-    candidates = assumption_candidates(p, cap=cap, parallel=parallel)
+    candidates = assumption_candidates(p, cap=cap)
     out = []
     for c in candidates:
         if not any(

@@ -247,10 +247,6 @@ def _ap_lit(xvars: tuple) -> Lit:
     return Lit("ap", xvars)
 
 
-def _tuple_domains(p: Program) -> tuple:
-    return p.assumption_domains()
-
-
 def _compress_choice_elements(atoms, xvars: tuple) -> tuple:
     """Fold a ground integer family back into one conditional element.
 
@@ -302,6 +298,12 @@ def _xdomain_pairs(m: int, domains) -> tuple:
     return tuple(("X%d" % i, tuple(domains[i - 1])) for i in range(1, m + 1))
 
 
+def _degree_vars(prefix: str, heads: tuple):
+    """Degree variables <prefix>1..<prefix>m and their domains 1..n_i."""
+    dvars = tuple(Var("%s%d" % (prefix, i)) for i in range(1, len(heads) + 1))
+    return dvars, tuple((d.name, tuple(range(1, n + 1))) for d, n in zip(dvars, heads))
+
+
 # --- lpod2asp -------------------------------------------------------------------
 
 
@@ -315,7 +317,7 @@ def lpod2asp_base(p: Program) -> AspDocument:
     if m == 0:
         raise DegenerateProgram("no ordered rules to compile")
     heads = tuple(r.head_size() for r in ordered)
-    domains = _tuple_domains(p)
+    domains = p.assumption_domains()
     xvars = _xvars(m)
     xdomains = _xdomain_pairs(m, domains)
     ap = _ap_lit(xvars)
@@ -393,7 +395,7 @@ def lpod2asp_base(p: Program) -> AspDocument:
                 )
             )
 
-    dvars = tuple(Var("D%d" % i) for i in range(1, m + 1))
+    dvars, ddomains = _degree_vars("D", heads)
     degree = Lit("degree", (Fn("ap", xvars),) + dvars)
     stmts.append(
         RuleStmt(
@@ -412,9 +414,6 @@ def lpod2asp_base(p: Program) -> AspDocument:
             var_domains=xdomains,
         )
     )
-    all_ddomains = tuple(
-        ("D%d" % i, tuple(range(1, heads[i - 1] + 1))) for i in range(1, m + 1)
-    )
     for i in range(1, m + 1):
         xi, di = xvars[i - 1], dvars[i - 1]
         stmts.append(
@@ -422,7 +421,7 @@ def lpod2asp_base(p: Program) -> AspDocument:
                 head=None,
                 body=(degree, Cmp("=", xi, 0), Cmp("!=", di, 1)),
                 tag="degree-from-zero",
-                var_domains=xdomains + all_ddomains,
+                var_domains=xdomains + ddomains,
             )
         )
         stmts.append(
@@ -430,7 +429,7 @@ def lpod2asp_base(p: Program) -> AspDocument:
                 head=None,
                 body=(degree, Cmp(">", xi, 0), Cmp("!=", di, xi)),
                 tag="degree-from-positive",
-                var_domains=xdomains + all_ddomains,
+                var_domains=xdomains + ddomains,
             )
         )
 
@@ -475,21 +474,12 @@ def lpod2asp_pref(p: Program, criterion) -> AspDocument:
     m, heads, domains = base.m, base.heads, base.domains
     maxdegree = max(heads)
     ap_domain = base.ap_terms()
-    dvars = tuple(Var("D%d" % i) for i in range(1, m + 1))
-    d1vars = tuple(Var("D1%d" % i) for i in range(1, m + 1))
-    d2vars = tuple(Var("D2%d" % i) for i in range(1, m + 1))
+    dvars, ddomains = _degree_vars("D", heads)
+    d1vars, d1domains = _degree_vars("D1", heads)
+    d2vars, d2domains = _degree_vars("D2", heads)
     p1, p2, pv = Var("P1"), Var("P2"), Var("P")
     x = Var("X")
     n, n1, n2 = Var("N"), Var("N1"), Var("N2")
-    ddomains = tuple(
-        ("D%d" % i, tuple(range(1, heads[i - 1] + 1))) for i in range(1, m + 1)
-    )
-    d1domains = tuple(
-        ("D1%d" % i, tuple(range(1, heads[i - 1] + 1))) for i in range(1, m + 1)
-    )
-    d2domains = tuple(
-        ("D2%d" % i, tuple(range(1, heads[i - 1] + 1))) for i in range(1, m + 1)
-    )
     pdomains = (("P", ap_domain), ("P1", ap_domain), ("P2", ap_domain))
     count_domain = tuple(range(0, m + 1))
     stmts = []
@@ -684,7 +674,7 @@ def crp2asp(p: Program) -> AspDocument:
     rules = p.nonregular_rules
     m = len(rules)
     heads = tuple(r.head_size() for r in rules)
-    domains = _tuple_domains(p)
+    domains = p.assumption_domains()
     xvars = _xvars(m)
     yvars = _yvars(m)
     xdomains = _xdomain_pairs(m, domains)

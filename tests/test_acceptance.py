@@ -163,7 +163,7 @@ def test_criterion_6_preferred_translation_suite(lpod_corpus):
             by_tuple.setdefault(c.assumption, set()).add(c.atoms)
         for criterion in Criterion:
             total += 1
-            ev = eval_lpod(lpod2asp_pref(p, criterion), p, criterion)
+            ev = eval_lpod(lpod2asp_pref(p, criterion))
             trans_by_tuple = {xs: set(ev.projections[xs]) for xs in ev.ap_tuples}
             oracle_pref = frozenset(c.atoms for c in lpod.preferred(p, criterion))
             if by_tuple == trans_by_tuple and oracle_pref == frozenset(
@@ -193,7 +193,7 @@ def test_criterion_7_crp_translation_suite(crp_corpus):
         )
         oracle_pref = frozenset(crp_semantics.preferred_answer_sets(p))
         prop3 = crp_semantics.assumption_projections(p)
-        ev = eval_crp(crp2asp(p), p)
+        ev = eval_crp(crp2asp(p))
         if (
             oracle_gen == prop3
             and oracle_gen == frozenset(frozenset(s) for s in ev.generalized_projections())
@@ -294,7 +294,7 @@ def test_criterion_9_monolithic_vs_splitting():
         (0, 2): {"c"},
     }
     doc = lpod2asp_pref(pi1, Criterion.PENALTY_SUM)
-    ev = eval_lpod(doc, pi1, Criterion.PENALTY_SUM)
+    ev = eval_lpod(doc)
     ok = ok and tuple(mono_tuples) == ev.ap_tuples
     for xs in mono_tuples:
         ok = ok and {shrink(s, xs, base.sigma).atoms} == {

@@ -12,6 +12,9 @@ def run(args, stdin="", env_extra=None):
     import os
 
     env = dict(os.environ)
+    # the package need not be installed: the child imports it from src/
+    src = str(PROGRAMS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -97,12 +100,6 @@ def test_solve_deterministic():
     assert first.stdout == second.stdout
 
 
-def test_solve_parallel_matches_serial():
-    serial = run(["check", "programs/pi1.lpod"])
-    threaded = run(["check", "--parallel", "3", "programs/pi1.lpod"])
-    assert serial.stdout == threaded.stdout
-
-
 def test_check_pi1_pareto_ok():
     out = run(["check", "programs/pi1.lpod", "--criterion", "pareto"])
     assert out.returncode == 0
@@ -131,6 +128,27 @@ def test_cap_exceeded_exit_3():
 def test_cap_env_var():
     out = run(["solve", "programs/pi2.lpod"], env_extra={"LPODC_CAP": "2"})
     assert out.returncode == 3
+
+
+def test_cap_message_counts_the_signature():
+    # the same numbers from solve as from check: |sigma| against the cap
+    for command in ("solve", "check"):
+        out = run([command, "--cap", "0", "programs/pi1.lpod"])
+        assert out.returncode == 3
+        assert "program has 4 atoms, cap is 0" in out.stderr
+
+
+def test_cap_env_var_not_an_integer():
+    out = run(["solve", "programs/pi1.lpod"], env_extra={"LPODC_CAP": "abc"})
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: LPODC_CAP must be an integer, got 'abc'"]
+
+
+def test_directory_as_input():
+    out = run(["solve", "programs"])
+    assert out.returncode == 2
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error:") and "Is a directory" in out.stderr
 
 
 def test_dialect_inferred_from_extension():

@@ -23,7 +23,7 @@ def test_prefer_cycle_blanks_everything():
     p = canonicalize(parse(text, Dialect.CRP2))
     assert crp_semantics.generalized_answer_sets(p) == ()
     assert crp_semantics.preferred_answer_sets(p) == ()
-    ev = eval_crp(crp2asp(p), p)
+    ev = eval_crp(crp2asp(p))
     assert ev.ap_tuples == ()
     assert ev.pas_tuples() == ()
 
@@ -46,7 +46,7 @@ def test_single_tuple_with_several_answer_sets():
     for criterion in Criterion:
         pref = name_sets(c.atoms for c in lpod.preferred(p, criterion))
         assert pref == expected
-        ev = eval_lpod(lpod2asp_pref(p, criterion), p, criterion)
+        ev = eval_lpod(lpod2asp_pref(p, criterion))
         assert ev.pas_tuples() == ((1,),)
         assert name_sets(ev.preferred_projections()) == expected
 
@@ -58,7 +58,7 @@ def test_identifier_constants_survive_translation():
         (c.assumption, frozenset(str(a) for a in c.atoms))
         for c in lpod.assumption_candidates(p)
     }
-    ev = eval_lpod(lpod2asp_pref(p, Criterion.PARETO), p, Criterion.PARETO)
+    ev = eval_lpod(lpod2asp_pref(p, Criterion.PARETO))
     translated = {
         (xs, frozenset(str(a) for a in proj))
         for xs in ev.ap_tuples
@@ -80,6 +80,6 @@ def test_ordered_rule_head_atom_defined_by_regular_rule():
         (1,): (frozenset({"a", "b"}), (1,)),
         (2,): (frozenset({"a"}), (2,)),
     }
-    ev = eval_lpod(lpod2asp_pref(p, Criterion.PENALTY_SUM), p, Criterion.PENALTY_SUM)
+    ev = eval_lpod(lpod2asp_pref(p, Criterion.PENALTY_SUM))
     assert ev.pas_tuples() == ((1,),)
     assert name_sets(ev.preferred_projections()) == {frozenset({"a", "b"})}
