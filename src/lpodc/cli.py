@@ -69,14 +69,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _resolve_cap(args) -> int:
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("LPODC_CAP")
-    if env:
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("LPODC_CAP")
+        if not env:
+            return DEFAULT_ATOM_CAP
         try:
-            return int(env)
+            cap, source = int(env), "LPODC_CAP"
         except ValueError:
             raise InputError("LPODC_CAP must be an integer, got %r" % env) from None
-    return DEFAULT_ATOM_CAP
+    if cap < 0:
+        raise InputError("%s must not be negative, got %d" % (source, cap))
+    return cap
 
 
 def _resolve_dialect(args) -> Dialect:
@@ -159,7 +163,7 @@ def cmd_translate(args) -> int:
 def _solve_lpod(args, program, cap):
     criteria = _criteria(args)
     candidates = lpod.assumption_candidates(program, cap=cap)
-    preferred = {c.value: lpod.preferred(program, c, cap=cap) for c in criteria}
+    preferred = {c.value: lpod.preferred(candidates, c) for c in criteria}
     if args.format == "json":
         payload = {
             "candidates": [
@@ -196,8 +200,10 @@ def _solve_lpod(args, program, cap):
 
 def _solve_crp(args, program, cap):
     sigma = program.signature
-    candidates = crp_semantics.candidate_answer_sets(program, cap=cap)
-    preferred = crp_semantics.preferred_answer_sets(program, cap=cap)
+    candidates = crp_semantics.candidate_answer_sets(
+        crp_semantics.generalized_answer_sets(program, cap=cap)
+    )
+    preferred = crp_semantics.preferred_answer_sets(candidates, sigma)
     if args.format == "json":
         payload = {
             "candidates": [
@@ -298,6 +304,13 @@ def main(argv=None) -> int:
         return cmd_check(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(
+            "error: %s is not UTF-8 text (byte 0x%02x at offset %d)"
+            % (args.input or "<stdin>", exc.object[exc.start], exc.start),
+            file=sys.stderr,
+        )
         return EXIT_INPUT
     except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

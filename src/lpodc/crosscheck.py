@@ -27,7 +27,10 @@ def _sets(projections) -> frozenset:
 
 def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckResult:
     """Split-vs-assumption agreement plus, per criterion, oracle-vs-evaluator
-    agreement on candidates and preferred answer sets."""
+    agreement on candidates and preferred answer sets. The oracle's
+    candidates and the translation's tuple layer are computed once; per
+    criterion the oracle filters those candidates and the evaluator adds
+    that criterion's layer to the tuple layer."""
     criteria = list(criteria or lpod.Criterion)
     result = CheckResult(ok=True)
     split_proj = lpod.split_candidate_projections(p, cap=cap)
@@ -44,9 +47,9 @@ def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckR
     oracle_by_tuple = {}
     for c in candidates:
         oracle_by_tuple.setdefault(c.assumption, set()).add(c.atoms)
+    tuples = evaluate.eval_lpod(translate.lpod2asp_base(p), cap=cap)
     for criterion in criteria:
-        doc = translate.lpod2asp_pref(p, criterion)
-        ev = evaluate.eval_lpod(doc, cap=cap)
+        ev = evaluate.with_criterion(tuples, translate.lpod2asp_pref(p, criterion))
         trans_by_tuple = {xs: set(ev.projections[xs]) for xs in ev.ap_tuples}
         result.add(
             oracle_by_tuple == trans_by_tuple,
@@ -57,7 +60,7 @@ def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckR
             ev.degrees[c.assumption] == c.degrees for c in candidates if c.assumption in ev.degrees
         )
         result.add(degree_ok, "[%s] degree lists agree" % criterion.value)
-        oracle_pref = frozenset(c.atoms for c in lpod.preferred(p, criterion, cap=cap))
+        oracle_pref = frozenset(c.atoms for c in lpod.preferred(candidates, criterion))
         trans_pref = _sets(ev.preferred_projections())
         result.add(
             oracle_pref == trans_pref,
@@ -73,11 +76,10 @@ def check_crp(p: Program, cap: int = DEFAULT_ATOM_CAP) -> CheckResult:
     result = CheckResult(ok=True)
     sigma = p.signature
     gas = crp_semantics.generalized_answer_sets(p, cap=cap)
+    candidates = crp_semantics.candidate_answer_sets(gas)
     oracle_gen = frozenset(g.project(sigma) for g in gas)
-    oracle_cand = frozenset(
-        g.project(sigma) for g in crp_semantics.candidate_answer_sets(p, cap=cap)
-    )
-    oracle_pref = frozenset(crp_semantics.preferred_answer_sets(p, cap=cap))
+    oracle_cand = frozenset(g.project(sigma) for g in candidates)
+    oracle_pref = frozenset(crp_semantics.preferred_answer_sets(candidates, sigma))
     assum_proj = crp_semantics.assumption_projections(p, cap=cap)
     result.add(
         oracle_gen == assum_proj,

@@ -213,17 +213,16 @@ def dominates(s1: GeneralizedAnswerSet, s2: GeneralizedAnswerSet) -> bool:
     return any((r1, r2) in pref_pairs for r1 in t1s for r2 in t2s)
 
 
-def candidate_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
-    gas = generalized_answer_sets(p, cap=cap)
+def candidate_answer_sets(gas: tuple) -> tuple:
+    """Generalized answer sets (from `generalized_answer_sets`) that no
+    other one dominates."""
     return tuple(
         s for s in gas if not any(other != s and dominates(other, s) for other in gas)
     )
 
 
-def preferred_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
+def preferred_answer_sets(candidates: tuple, sigma: frozenset) -> tuple:
     """Sigma-projections of candidates with minimal applied-atom sets."""
-    sigma = p.signature
-    candidates = candidate_answer_sets(p, cap=cap)
     out = []
     for s in candidates:
         s_appl = s.appl_terms()

@@ -4,15 +4,18 @@ The per-tuple statements of a document are grounded for one assumption
 tuple at a time and solved independently (the partial ground programs share
 no atoms), which keeps the search spaces tiny. The cross-tuple layer
 (preference / dominance / candidate / preferred) is then evaluated as a
-stratified bottom-up fixpoint over the collected facts. A monolithic
-grounder for the whole document is kept for consistency checks and debug
-dumps. Grounding and the fixpoint enumerate statement bodies with the same
-join-ordered walker, `_join`.
+stratified bottom-up fixpoint over the collected facts. Every LPOD
+criterion document shares the tuple layer of the base translation, so that
+layer is solved once (`eval_lpod` on the base document) and each criterion
+is a fixpoint over it (`with_criterion`). A monolithic grounder for the
+whole document is kept for consistency checks and debug dumps. Grounding
+and the fixpoint enumerate statement bodies with the same join-ordered
+walker, `_join`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .engine import (
@@ -431,6 +434,7 @@ def evaluate_global_layer(doc: AspDocument, seed_relations: dict) -> dict:
 class EvaluatedTranslation:
     dialect: Dialect
     sigma: frozenset
+    domains: tuple  # assumption-degree values per index, as in the document
     ap_tuples: tuple
     projections: dict  # tuple -> tuple of frozensets over sigma
     degrees: dict  # tuple -> degree tuple (lpod only)
@@ -489,16 +493,20 @@ def _evaluated(doc: AspDocument, solved: dict, degrees: dict, relations: dict) -
     return EvaluatedTranslation(
         dialect=doc.dialect,
         sigma=doc.sigma,
+        domains=doc.domains,
         ap_tuples=tuple(sorted(solved)),
         projections=projections,
         degrees=degrees,
         relations=relations,
-        criterion=doc.criterion,
     )
 
 
 def eval_lpod(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTranslation:
-    """Per-tuple solving plus the criterion layer as a stratified fixpoint."""
+    """Per-tuple solving plus the document's criterion layer, if any.
+
+    On `lpod2asp_base` the result is the tuple layer alone: its relations
+    are the `ap` and `degree` rows, ready for `with_criterion`.
+    """
     solved = _solve_tuples(doc, cap)
     degrees = {}
     degree_rows = set()
@@ -510,8 +518,22 @@ def eval_lpod(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTransla
                     degs = tuple(a.args[1:])
                     degree_rows.add(tuple(a.args))
         degrees[xs] = degs
-    relations = evaluate_global_layer(doc, {"ap": set(solved), "degree": degree_rows})
-    return _evaluated(doc, solved, degrees, relations)
+    tuples = _evaluated(doc, solved, degrees, {"ap": set(solved), "degree": degree_rows})
+    return with_criterion(tuples, doc)
+
+
+def with_criterion(ev: EvaluatedTranslation, doc: AspDocument) -> EvaluatedTranslation:
+    """The solved tuple layer `ev` under the criterion layer of `doc`.
+
+    `doc` must translate the same LPOD program as `ev` (same signature and
+    tuple space); only the `ap` and `degree` rows of `ev` seed the fixpoint.
+    """
+    if doc.dialect is not Dialect.LPOD or ev.dialect is not Dialect.LPOD:
+        raise ValueError("criterion layers are defined for lpod translations")
+    if doc.sigma != ev.sigma or doc.domains != ev.domains:
+        raise ValueError("the document and the solved tuple layer translate different programs")
+    seeds = {"ap": ev.relations["ap"], "degree": ev.relations["degree"]}
+    return replace(ev, relations=evaluate_global_layer(doc, seeds), criterion=doc.criterion)
 
 
 def eval_crp(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTranslation:

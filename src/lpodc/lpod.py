@@ -225,9 +225,9 @@ def compare(s1: CandidateAnswerSet, s2: CandidateAnswerSet, criterion: Criterion
     return Comparison.NEITHER
 
 
-def preferred(p: Program, criterion: Criterion, cap: int = DEFAULT_ATOM_CAP) -> tuple:
-    """Candidates that no other candidate beats under the criterion."""
-    candidates = assumption_candidates(p, cap=cap)
+def preferred(candidates: tuple, criterion: Criterion) -> tuple:
+    """Candidates (from `assumption_candidates`) that no other candidate
+    beats under the criterion."""
     out = []
     for c in candidates:
         if not any(

@@ -264,6 +264,12 @@ def validate_program(p: Program) -> ValidationReport:
                 cr_like_labels.add(r.label)
         if r.kind in (RuleKind.ORDERED, RuleKind.ORDERED_CR) and r.head_size() < 2:
             bad("ordered-head-too-small", "ordered head needs at least 2 atoms, got %d" % r.head_size())
+        if r.is_choice:
+            lo, up = r.choice_bounds
+            if lo < 0 or up < 0:
+                bad("negative-choice-bound", "choice bounds must not be negative, got %d..%d" % (lo, up))
+            elif lo > up:
+                bad("empty-choice-bounds", "choice lower bound %d exceeds upper bound %d" % (lo, up))
         if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR) and p.dialect is not Dialect.CRP2:
             bad("cr-rule-dialect", "cr-rules are only allowed in the crp2 dialect")
         for atom in r.atoms():
@@ -274,11 +280,29 @@ def validate_program(p: Program) -> ValidationReport:
                 bad("bad-predicate", "predicate %r is not a valid identifier" % atom.predicate)
     if p.prefer_facts and p.dialect is not Dialect.CRP2:
         bad("prefer-dialect", "prefer facts are only allowed in the crp2 dialect")
+    preferred_to: dict = {}
     for l1, l2 in p.prefer_facts:
         for lab in (l1, l2):
             if lab not in cr_like_labels:
                 bad("unknown-label", "unknown label %s" % lab)
+        if _reaches(preferred_to, l2, l1):
+            bad("prefer-cycle", "prefer(%s,%s) closes a preference cycle" % (l1, l2))
+        preferred_to.setdefault(l1, set()).add(l2)
     return ValidationReport(tuple(out))
+
+
+def _reaches(edges: dict, start, goal) -> bool:
+    """Whether goal is start or lies on a path of edges from start."""
+    seen, todo = {start}, [start]
+    while todo:
+        node = todo.pop()
+        if node == goal:
+            return True
+        for nxt in edges.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
 
 
 def canonicalize(p: Program) -> Program:

@@ -12,7 +12,7 @@ from conftest import atom_names, load_program, name_sets, tokens
 from lpodc import crp as crp_semantics
 from lpodc import lpod
 from lpodc.engine import GroundProgram, GroundRule, answer_sets, is_answer_set, optimal_answer_sets
-from lpodc.evaluate import eval_crp, eval_lpod, ground_document, shrink
+from lpodc.evaluate import eval_crp, eval_lpod, ground_document, shrink, with_criterion
 from lpodc.lpod import Criterion
 from lpodc.model import Atom
 from lpodc.randgen import random_crp, random_ground_program, random_lpod
@@ -57,7 +57,7 @@ def test_criterion_1_first_example_reproduction():
         (0, 2): ({"c"}, (1, 2)),
     }
     for criterion in Criterion:
-        pref = name_sets(c.atoms for c in lpod.preferred(pi1, criterion))
+        pref = name_sets(c.atoms for c in lpod.preferred(candidates, criterion))
         ok = ok and pref == {frozenset({"a", "b"})}
     elapsed = time.perf_counter() - start
     report(1, "pi1 candidates, degrees and preferred under all four criteria", ok, elapsed, 1)
@@ -76,7 +76,7 @@ def test_criterion_2_second_example_reproduction():
         Criterion.PENALTY_SUM: {S1, S2},
     }
     for criterion, want in expected.items():
-        got = name_sets(c.atoms for c in lpod.preferred(pi2, criterion))
+        got = name_sets(c.atoms for c in lpod.preferred(candidates, criterion))
         ok = ok and got == want
     elapsed = time.perf_counter() - start
     report(2, "pi2 degree lists and per-criterion preferred sets", ok, elapsed, 5)
@@ -90,18 +90,25 @@ def test_criterion_3_third_example_reproduction():
     ok = len(gas) == 5
     candidate_appl = {
         frozenset(str(t) for t in c.appl_terms())
-        for c in crp_semantics.candidate_answer_sets(pi3)
+        for c in crp_semantics.candidate_answer_sets(gas)
     }
     ok = ok and candidate_appl == {
         frozenset({"1"}),
         frozenset({"2", "choice(2,1)"}),
         frozenset({"1", "2", "choice(2,1)"}),
     }
-    ok = ok and name_sets(crp_semantics.preferred_answer_sets(pi3)) == {
+    ok = ok and name_sets(
+        crp_semantics.preferred_answer_sets(crp_semantics.candidate_answer_sets(gas), pi3.signature)
+    ) == {
         frozenset({"t", "q", "s"}),
         frozenset({"q", "r"}),
     }
-    ok = ok and name_sets(crp_semantics.preferred_answer_sets(pi3p)) == {
+    ok = ok and name_sets(
+        crp_semantics.preferred_answer_sets(
+            crp_semantics.candidate_answer_sets(crp_semantics.generalized_answer_sets(pi3p)),
+            pi3p.signature,
+        )
+    ) == {
         frozenset({"q", "r"})
     }
     elapsed = time.perf_counter() - start
@@ -161,11 +168,12 @@ def test_criterion_6_preferred_translation_suite(lpod_corpus):
         by_tuple = {}
         for c in candidates:
             by_tuple.setdefault(c.assumption, set()).add(c.atoms)
+        tuples = eval_lpod(lpod2asp_base(p))
         for criterion in Criterion:
             total += 1
-            ev = eval_lpod(lpod2asp_pref(p, criterion))
+            ev = with_criterion(tuples, lpod2asp_pref(p, criterion))
             trans_by_tuple = {xs: set(ev.projections[xs]) for xs in ev.ap_tuples}
-            oracle_pref = frozenset(c.atoms for c in lpod.preferred(p, criterion))
+            oracle_pref = frozenset(c.atoms for c in lpod.preferred(candidates, criterion))
             if by_tuple == trans_by_tuple and oracle_pref == frozenset(
                 frozenset(s) for s in ev.preferred_projections()
             ):
@@ -188,10 +196,9 @@ def test_criterion_7_crp_translation_suite(crp_corpus):
         sigma = p.signature
         gas = crp_semantics.generalized_answer_sets(p)
         oracle_gen = frozenset(g.project(sigma) for g in gas)
-        oracle_cand = frozenset(
-            g.project(sigma) for g in crp_semantics.candidate_answer_sets(p)
-        )
-        oracle_pref = frozenset(crp_semantics.preferred_answer_sets(p))
+        candidates = crp_semantics.candidate_answer_sets(gas)
+        oracle_cand = frozenset(g.project(sigma) for g in candidates)
+        oracle_pref = frozenset(crp_semantics.preferred_answer_sets(candidates, sigma))
         prop3 = crp_semantics.assumption_projections(p)
         ev = eval_crp(crp2asp(p))
         if (

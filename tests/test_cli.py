@@ -151,6 +151,53 @@ def test_directory_as_input():
     assert out.stderr.startswith("error:") and "Is a directory" in out.stderr
 
 
+def test_cap_negative_flag():
+    out = run(["check", "--cap", "-1", "programs/pi1.lpod"])
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: --cap must not be negative, got -1"]
+
+
+def test_cap_negative_env_var():
+    out = run(["solve", "programs/pi1.lpod"], env_extra={"LPODC_CAP": "-1"})
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: LPODC_CAP must not be negative, got -1"]
+
+
+def test_non_utf8_input(tmp_path):
+    target = tmp_path / "latin.lpod"
+    target.write_bytes(b"a * b.\n\xff\n")
+    out = run(["check", str(target)])
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        "error: %s is not UTF-8 text (byte 0xff at offset 7)" % target
+    ]
+
+
+def test_choice_lower_above_upper_rejected():
+    out = run(["check", "--dialect", "lpod"], stdin="3 {a; b} 1.\nc * d.\n")
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: choice lower bound 3 exceeds upper bound 1"]
+
+
+def test_negative_choice_bound_rejected():
+    out = run(["check", "--dialect", "lpod"], stdin="-1 {a; b} -2.\nc * d.\n")
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: choice bounds must not be negative, got -1..-2"]
+
+
+def test_prefer_cycle_rejected():
+    text = "r1: a :+.\nr2: b :+.\nprefer(r1,r2).\nprefer(r2,r1).\n"
+    out = run(["check", "--dialect", "crp2"], stdin=text)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: prefer(r2,r1) closes a preference cycle"]
+
+
+def test_prefer_self_loop_rejected():
+    out = run(["solve", "--dialect", "crp2"], stdin="r1: a :+.\nprefer(r1,r1).\n")
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: prefer(r1,r1) closes a preference cycle"]
+
+
 def test_dialect_inferred_from_extension():
     out = run(["solve", "programs/pi3.crp", "--format", "json"])
     assert out.returncode == 0

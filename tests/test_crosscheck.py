@@ -1,6 +1,7 @@
 import random
 
 import lpodc.crosscheck as crosscheck
+from lpodc import evaluate, lpod
 from lpodc.crosscheck import (
     CheckResult,
     check_crp,
@@ -11,6 +12,7 @@ from lpodc.crosscheck import (
 from lpodc.model import Dialect, canonicalize
 from lpodc.parser import parse
 from lpodc.randgen import random_lpod
+from lpodc.translate import lpod2asp_base
 
 
 def test_check_lpod_reports_ok(pi1):
@@ -18,6 +20,24 @@ def test_check_lpod_reports_ok(pi1):
     assert result.ok
     assert any("preferred" in line for line in result.lines)
     assert all(line.startswith("OK") for line in result.lines)
+
+
+def test_check_lpod_solves_once_for_all_criteria(pi2, monkeypatch):
+    calls = {"ground": 0, "candidates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(evaluate, "tuple_ground_program", counted("ground", evaluate.tuple_ground_program))
+    monkeypatch.setattr(lpod, "assumption_candidates", counted("candidates", lpod.assumption_candidates))
+    result = check_lpod(pi2)
+    assert result.ok
+    assert sum("preferred answer sets" in line for line in result.lines) == len(lpod.Criterion)
+    assert calls == {"ground": len(lpod2asp_base(pi2).tuple_space()), "candidates": 1}
 
 
 def test_check_crp_reports_ok(pi3p):

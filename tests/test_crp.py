@@ -97,7 +97,10 @@ def test_dominance_on_pi3(pi3):
 
 def test_pi3_candidates(pi3):
     cands = generalized_by_appl(pi3)
-    got = {frozenset(str(t) for t in c.appl_terms()) for c in candidate_answer_sets(pi3)}
+    got = {
+        frozenset(str(t) for t in c.appl_terms())
+        for c in candidate_answer_sets(generalized_answer_sets(pi3))
+    }
     assert got == {
         frozenset({"1"}),
         frozenset({"2", "choice(2,1)"}),
@@ -106,7 +109,9 @@ def test_pi3_candidates(pi3):
 
 
 def test_pi3_preferred(pi3):
-    assert name_sets(preferred_answer_sets(pi3)) == {
+    assert name_sets(
+        preferred_answer_sets(candidate_answer_sets(generalized_answer_sets(pi3)), pi3.signature)
+    ) == {
         frozenset({"t", "q", "s"}),
         frozenset({"q", "r"}),
     }
@@ -114,15 +119,17 @@ def test_pi3_preferred(pi3):
 
 def test_pi3p_candidates_and_preferred(pi3p):
     sigma = pi3p.signature
-    cand_proj = name_sets(c.project(sigma) for c in candidate_answer_sets(pi3p))
+    cands = candidate_answer_sets(generalized_answer_sets(pi3p))
+    cand_proj = name_sets(c.project(sigma) for c in cands)
     assert cand_proj == {frozenset({"q", "r"})}
-    assert name_sets(preferred_answer_sets(pi3p)) == {frozenset({"q", "r"})}
+    assert name_sets(preferred_answer_sets(cands, sigma)) == {frozenset({"q", "r"})}
 
 
 def test_regular_only_program_candidates_and_preferred():
     p = canonicalize(parse("a :- not b.\nb :- not a.", Dialect.CRP2))
-    assert len(candidate_answer_sets(p)) == 2
-    assert name_sets(preferred_answer_sets(p)) == {frozenset({"a"}), frozenset({"b"})}
+    cands = candidate_answer_sets(generalized_answer_sets(p))
+    assert len(cands) == 2
+    assert name_sets(preferred_answer_sets(cands, p.signature)) == {frozenset({"a"}), frozenset({"b"})}
 
 
 def test_assumption_program_count_and_contents(pi3):

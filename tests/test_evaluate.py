@@ -1,6 +1,8 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from conftest import name_sets
 from lpodc import crp as crp_semantics
 from lpodc import lpod
@@ -12,6 +14,7 @@ from lpodc.evaluate import (
     ground_document,
     shrink,
     tuple_ground_program,
+    with_criterion,
 )
 from lpodc.lpod import Criterion
 from lpodc.model import Dialect, Term, canonicalize
@@ -144,6 +147,72 @@ def test_inclusion_layer_matches_direct_reading(pi2):
     assert direct_prf == set(ev.relations["prf"])
 
 
+def _shared_layer_programs(pi1, pi2) -> list:
+    """pi1, pi2 and 50 seeded random programs with ordered rules."""
+    rng = random.Random(4243)
+    programs = [pi1, pi2]
+    while len(programs) < 52:
+        p = random_lpod(rng)
+        if p.nonregular_rules:
+            programs.append(p)
+    return programs
+
+
+def _tuple_phase(doc) -> list:
+    return [s for s in doc.statements if s.phase == "tuple"]
+
+
+def test_criterion_documents_share_the_base_tuple_layer(pi1, pi2):
+    for p in _shared_layer_programs(pi1, pi2):
+        base = lpod2asp_base(p)
+        for criterion in Criterion:
+            doc = lpod2asp_pref(p, criterion)
+            assert _tuple_phase(doc) == _tuple_phase(base)
+            assert (doc.sigma, doc.domains) == (base.sigma, base.domains)
+
+
+def test_with_criterion_equals_full_evaluation(pi1, pi2):
+    for p in _shared_layer_programs(pi1, pi2):
+        tuples = eval_lpod(lpod2asp_base(p))
+        assert tuples.relations == {
+            "ap": set(tuples.ap_tuples),
+            "degree": {(Term("ap", xs),) + tuples.degrees[xs] for xs in tuples.ap_tuples},
+        }
+        for criterion in Criterion:
+            doc = lpod2asp_pref(p, criterion)
+            shared = with_criterion(tuples, doc)
+            full = eval_lpod(doc)
+            assert shared.criterion == full.criterion == criterion.value
+            assert shared.ap_tuples == full.ap_tuples
+            assert shared.projections == full.projections
+            assert shared.degrees == full.degrees
+            assert shared.relations == full.relations
+
+
+def test_with_criterion_leaves_the_tuple_layer_alone(pi2):
+    tuples = eval_lpod(lpod2asp_base(pi2))
+    before = {pred: set(rows) for pred, rows in tuples.relations.items()}
+    previous = tuples
+    for criterion in Criterion:
+        doc = lpod2asp_pref(pi2, criterion)
+        ev = with_criterion(tuples, doc)
+        # another criterion's rows never seed the fixpoint
+        assert with_criterion(previous, doc).relations == ev.relations
+        previous = ev
+    assert tuples.relations == before
+    assert tuples.criterion is None
+
+
+def test_with_criterion_rejects_another_program(pi1, pi2, pi3):
+    tuples = eval_lpod(lpod2asp_base(pi2))
+    with pytest.raises(ValueError):
+        with_criterion(tuples, lpod2asp_pref(pi1, Criterion.PARETO))
+    with pytest.raises(ValueError):
+        with_criterion(tuples, crp2asp(pi3))
+    with pytest.raises(ValueError):
+        with_criterion(eval_crp(crp2asp(pi3)), lpod2asp_pref(pi2, Criterion.PARETO))
+
+
 def test_oracle_translation_agreement_randomized_lpod():
     rng = random.Random(307)
     for _ in range(25):
@@ -155,7 +224,7 @@ def test_oracle_translation_agreement_randomized_lpod():
             doc = lpod2asp_pref(p, criterion)
             ev = eval_lpod(doc)
             assert set(ev.ap_tuples) == {c.assumption for c in oracle_cands}
-            oracle_pref = frozenset(c.atoms for c in lpod.preferred(p, criterion))
+            oracle_pref = frozenset(c.atoms for c in lpod.preferred(oracle_cands, criterion))
             assert frozenset(ev.preferred_projections()) == oracle_pref
 
 
@@ -165,11 +234,12 @@ def test_oracle_translation_agreement_randomized_crp():
         p = random_crp(rng)
         sigma = p.signature
         ev = eval_crp(crp2asp(p))
-        oracle_gen = frozenset(
-            g.project(sigma) for g in crp_semantics.generalized_answer_sets(p)
-        )
+        gas = crp_semantics.generalized_answer_sets(p)
+        oracle_gen = frozenset(g.project(sigma) for g in gas)
         assert frozenset(ev.generalized_projections()) == oracle_gen
-        oracle_pref = frozenset(crp_semantics.preferred_answer_sets(p))
+        oracle_pref = frozenset(
+            crp_semantics.preferred_answer_sets(crp_semantics.candidate_answer_sets(gas), sigma)
+        )
         assert frozenset(ev.preferred_projections()) == oracle_pref
 
 

@@ -147,7 +147,7 @@ def test_compare_self_is_neither(pi2):
 
 def test_pi1_preferred_under_every_criterion(pi1):
     for criterion in Criterion:
-        pref = preferred(pi1, criterion)
+        pref = preferred(assumption_candidates(pi1), criterion)
         assert name_sets(c.atoms for c in pref) == {frozenset({"a", "b"})}
 
 
@@ -162,7 +162,7 @@ def test_pi2_preferred_per_criterion(pi2):
         Criterion.PENALTY_SUM: {s1, s2},
     }
     for criterion, want in expected.items():
-        assert name_sets(c.atoms for c in preferred(pi2, criterion)) == want
+        assert name_sets(c.atoms for c in preferred(assumption_candidates(pi2), criterion)) == want
 
 
 def test_degenerate_program_all_candidates_preferred():
@@ -170,7 +170,7 @@ def test_degenerate_program_all_candidates_preferred():
     cands = assumption_candidates(p)
     assert name_sets(c.atoms for c in cands) == {frozenset({"a"}), frozenset({"b"})}
     for criterion in Criterion:
-        assert set(preferred(p, criterion)) == set(cands)
+        assert set(preferred(cands, criterion)) == set(cands)
 
 
 def test_split_vs_assumption_agreement_randomized():

@@ -49,6 +49,33 @@ def test_prefer_requires_crp_dialect():
     assert not validate_program(p).ok
 
 
+def test_choice_bounds_reported():
+    def codes(lo, up):
+        rule = Rule(kind=RuleKind.REGULAR, head_atoms=(Atom("a"), Atom("b")), choice_bounds=(lo, up))
+        return [v.code for v in validate_program(Program(dialect=Dialect.LPOD, rules=(rule,))).violations]
+
+    assert codes(3, 1) == ["empty-choice-bounds"]
+    assert codes(-1, -2) == ["negative-choice-bound"]
+    assert codes(0, -1) == ["negative-choice-bound"]
+    assert codes(0, 2) == codes(2, 2) == codes(3, 3) == []
+
+
+def test_prefer_cycle_reported():
+    rules = tuple(
+        Rule(kind=RuleKind.CR, head_atoms=(Atom(a),), label=label)
+        for a, label in (("a", "r1"), ("b", "r2"), ("c", "r3"))
+    )
+
+    def codes(*facts):
+        p = Program(dialect=Dialect.CRP2, rules=rules, prefer_facts=facts)
+        return [v.code for v in validate_program(p).violations]
+
+    assert codes(("r1", "r1")) == ["prefer-cycle"]
+    assert codes(("r1", "r2"), ("r2", "r1")) == ["prefer-cycle"]
+    assert codes(("r1", "r2"), ("r2", "r3"), ("r3", "r1")) == ["prefer-cycle"]
+    assert codes(("r1", "r2"), ("r2", "r3"), ("r1", "r3"), ("r1", "r2")) == []
+
+
 def test_duplicate_labels_reported():
     rules = (
         Rule(kind=RuleKind.CR, head_atoms=(Atom("a"),), label="r1"),
