@@ -95,7 +95,7 @@ def _read_input(args) -> str:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             return fh.read()
-    return sys.stdin.read()
+    return sys.stdin.buffer.read().decode("utf-8")
 
 
 def _load_program(args):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from . import crp as crp_semantics
 from . import evaluate, lpod, translate
-from .engine import DEFAULT_ATOM_CAP
+from .engine import DEFAULT_ATOM_CAP, CapExceeded
 from .model import Dialect, Program, canonicalize, validate_program
 from .parser import render
 
@@ -118,7 +118,7 @@ def shrink_counterexample(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP
             return False
         try:
             return not check_program(q, criteria=criteria, cap=cap).ok
-        except Exception:
+        except CapExceeded:
             return False
 
     current = p

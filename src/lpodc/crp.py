@@ -4,7 +4,13 @@ disjunction (CR-Prolog_2).
 The semantics routes through a host program: cr-rules become regular rules
 guarded by appl(i), ordered heads become one guarded rule per position
 with appl(choice(i,j)), and a preference closure relates applied rules.
-Generalized answer sets arise by adding subsets of appl atoms as facts.
+Generalized answer sets are the answer sets of the host program extended
+with a set of appl facts, over all such sets. They are computed in one
+search, over the host program plus a free choice {appl(t)}. per appl atom:
+no host rule has an appl head, so the choice rules form a bottom part by
+the splitting set theorem (Lifschitz & Turner, ICLP 1994), and each of its
+answer sets, a set of appl facts, extends to exactly the answer sets of
+the host program with those facts.
 
 A choice-position guard is part of the host program here: for an ordered
 cr-rule i, appl(choice(i,j)) is inconsistent unless appl(i) holds. Without
@@ -18,11 +24,11 @@ one) and is what lets position preferences dominate across interpretations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .engine import (
     DEFAULT_ATOM_CAP,
     CapExceeded,
+    ChoiceHead,
     GroundProgram,
     GroundRule,
     answer_sets,
@@ -154,50 +160,28 @@ def build_hpi(p: Program) -> GroundProgram:
 
 def appl_atom_space(p: Program) -> list:
     """All appl atoms that may appear in the host program."""
-    out = []
-    for r in p.nonregular_rules:
-        if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR):
-            out.append(appl(r.index))
-    for r in p.nonregular_rules:
-        if r.kind in (RuleKind.ORDERED, RuleKind.ORDERED_CR):
-            for j in range(1, r.head_size() + 1):
-                out.append(appl(choice_term(r.index, j)))
-    return out
+    return [appl(t) for t in _closure_terms(p)]
 
 
 def generalized_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
-    """Union over subsets A of appl atoms of the host program's answer sets.
+    """Union over sets A of appl atoms of the answer sets of the host
+    program plus A as facts.
 
-    Subsets choosing two positions of the same ordered head are skipped:
-    the preference chain makes those host programs inconsistent anyway.
+    Solved once, as the host program plus {appl(t)}. for every appl atom:
+    the host program defines no appl atom, so this is the same union (see
+    the module docstring). A set choosing two positions of one ordered
+    head has no answer set: the preference chain between the positions
+    and the isPreferred constraint rule it out.
     """
     hpi = build_hpi(p)
     if len(p.signature) > cap:
         raise CapExceeded(len(p.signature), cap)
-    appl_atoms = appl_atom_space(p)
-    by_rule = {}
-    for a in appl_atoms:
-        term = a.args[0]
-        key = term.args[0] if isinstance(term, Term) else None
-        if key is not None:
-            by_rule.setdefault(key, []).append(a)
-    engine_cap = len(hpi.atoms) + len(appl_atoms)
-    subsets = []
-    for bits in product((False, True), repeat=len(appl_atoms)):
-        chosen = [a for a, b in zip(appl_atoms, bits) if b]
-        if any(
-            sum(1 for a in members if a in chosen) > 1 for members in by_rule.values()
-        ):
-            continue
-        subsets.append(chosen)
-
-    found = set()
-    for chosen in subsets:
-        prog = GroundProgram(
-            rules=hpi.rules + tuple(GroundRule(head=a) for a in chosen),
-            extra_atoms=hpi.atoms,
-        )
-        found.update(GeneralizedAnswerSet(atoms=s.atoms) for s in answer_sets(prog, cap=engine_cap))
+    prog = GroundProgram(
+        rules=hpi.rules
+        + tuple(GroundRule(head=ChoiceHead(atoms=(a,))) for a in appl_atom_space(p)),
+        extra_atoms=hpi.extra_atoms,
+    )
+    found = (GeneralizedAnswerSet(atoms=s.atoms) for s in answer_sets(prog, cap=len(prog.atoms)))
     return tuple(sorted(found, key=GeneralizedAnswerSet.sort_key))
 
 

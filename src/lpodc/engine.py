@@ -135,7 +135,7 @@ def reduct(p: GroundProgram, interp: frozenset) -> GroundProgram:
                     out.append(GroundRule(head=a, pos=r.pos))
         else:
             out.append(GroundRule(head=r.head, pos=r.pos))
-    return GroundProgram(rules=tuple(out), extra_atoms=p.atoms)
+    return GroundProgram(rules=tuple(out))
 
 
 def least_model(definite_rules: Iterable[GroundRule]) -> frozenset:
@@ -186,9 +186,9 @@ _TRUE, _FALSE, _UNDEC = 1, 0, -1
 
 
 class _Search:
-    def __init__(self, program: GroundProgram):
+    def __init__(self, program: GroundProgram, atoms: frozenset):
         self.program = program
-        atoms = sorted(program.atoms, key=Atom.sort_key)
+        atoms = sorted(atoms, key=Atom.sort_key)
         choice_atoms = set()
         guess_atoms = set()
         for r in program.rules:
@@ -333,10 +333,10 @@ class _Search:
 
 def answer_sets(p: GroundProgram, cap: int = DEFAULT_ATOM_CAP) -> tuple:
     """All answer sets, sorted for determinism; penalties unset."""
-    n = len(p.atoms)
-    if n > cap:
-        raise CapExceeded(n, cap)
-    found = set(_Search(p).run())
+    atoms = p.atoms
+    if len(atoms) > cap:
+        raise CapExceeded(len(atoms), cap)
+    found = set(_Search(p, atoms).run())
     return tuple(sorted((AnswerSet(atoms=s) for s in found), key=AnswerSet.sort_key))
 
 

@@ -316,23 +316,23 @@ def canonicalize(p: Program) -> Program:
         order = {RuleKind.ORDERED: 0}
     else:
         order = {RuleKind.CR: 0, RuleKind.ORDERED_CR: 1, RuleKind.ORDERED: 2}
-    indexed = [r for r in p.rules if r.kind in order]
-    indexed.sort(key=lambda r: order[r.kind])  # stable: textual order kept per class
+    # positions in p.rules, not the rules: one Rule may occur twice
+    indexed = [k for k, r in enumerate(p.rules) if r.kind in order]
+    indexed.sort(key=lambda k: order[p.rules[k].kind])  # stable: textual order kept per class
     taken = {r.label for r in p.rules if r.label is not None}
     assignments = {}
-    for i, r in enumerate(indexed, start=1):
-        if r.label is not None:
-            label = r.label
-        else:
+    for i, k in enumerate(indexed, start=1):
+        label = p.rules[k].label
+        if label is None:
             label = "r%d" % i
             while label in taken:
                 label += "_"
             taken.add(label)
-        assignments[id(r)] = (i, label)
+        assignments[k] = (i, label)
     new_rules = []
-    for r in p.rules:
-        if id(r) in assignments:
-            i, label = assignments[id(r)]
+    for k, r in enumerate(p.rules):
+        if k in assignments:
+            i, label = assignments[k]
             new_rules.append(
                 Rule(
                     kind=r.kind,

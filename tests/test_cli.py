@@ -21,7 +21,7 @@ def run(args, stdin="", env_extra=None):
         LPODC + args,
         input=stdin,
         capture_output=True,
-        text=True,
+        text=isinstance(stdin, str),
         env=env,
         cwd=str(PROGRAMS.parent),
     )
@@ -172,6 +172,14 @@ def test_non_utf8_input(tmp_path):
         "error: %s is not UTF-8 text (byte 0xff at offset 7)" % target
     ]
 
+
+
+def test_non_utf8_stdin():
+    out = run(["solve", "--dialect", "lpod"], stdin=b"a * b.\n\xff\n")
+    assert out.returncode == 2
+    assert out.stderr.decode().splitlines() == [
+        "error: <stdin> is not UTF-8 text (byte 0xff at offset 7)"
+    ]
 
 def test_choice_lower_above_upper_rejected():
     out = run(["check", "--dialect", "lpod"], stdin="3 {a; b} 1.\nc * d.\n")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import lpodc.crosscheck as crosscheck
 from lpodc import evaluate, lpod
 from lpodc.crosscheck import (
@@ -69,6 +71,17 @@ def test_shrink_keeps_failing_program_minimal(monkeypatch):
     assert len(small.rules) == 1
     assert dump_counterexample(small).strip() == "smelly."
 
+
+
+def test_shrink_lets_a_checker_crash_through(pi1, monkeypatch):
+    def crashing_check(q, criteria=None, cap=24):
+        if len(q.rules) < len(pi1.rules):
+            raise RuntimeError("checker crashed")
+        return CheckResult(ok=False)
+
+    monkeypatch.setattr(crosscheck, "check_program", crashing_check)
+    with pytest.raises(RuntimeError, match="checker crashed"):
+        shrink_counterexample(pi1)
 
 def test_shrink_on_agreeing_program_is_identity(pi1):
     assert shrink_counterexample(pi1) == pi1

@@ -1,8 +1,13 @@
 import random
+from itertools import product
+
+import pytest
 
 from conftest import atom_names, name_sets
 from lpodc.crp import (
+    GeneralizedAnswerSet,
     appl,
+    appl_atom_space,
     assumption_projections,
     build_hpi,
     candidate_answer_sets,
@@ -12,7 +17,7 @@ from lpodc.crp import (
     generalized_answer_sets,
     preferred_answer_sets,
 )
-from lpodc.engine import answer_sets
+from lpodc.engine import ChoiceHead, GroundProgram, GroundRule, answer_sets
 from lpodc.model import Dialect, Term, canonicalize
 from lpodc.parser import parse
 from lpodc.randgen import random_crp
@@ -73,6 +78,52 @@ def test_pi3_generalized_projections(pi3):
         frozenset({"p", "s"}),
     }
 
+
+
+def union_over_subsets(p):
+    """The definition, kept as the reference: the union over every set A
+    of appl atoms of the answer sets of the host program plus A as facts."""
+    hpi = build_hpi(p)
+    appl_atoms = appl_atom_space(p)
+    found = set()
+    for bits in product((False, True), repeat=len(appl_atoms)):
+        facts = tuple(GroundRule(head=a) for a, chosen in zip(appl_atoms, bits) if chosen)
+        prog = GroundProgram(rules=hpi.rules + facts, extra_atoms=hpi.extra_atoms)
+        found.update(s.atoms for s in answer_sets(prog, cap=len(prog.atoms)))
+    return found
+
+
+@pytest.fixture(scope="module")
+def one_search_corpus(pi3, pi3p):
+    # every rule kind, two-head orders with a cr-rule, three-head orders of
+    # each kind apart (2^|appl| reference solves stay affordable), and up to
+    # three cr-rules
+    shapes = (
+        (229, 50, {"max_head": 2, "max_cr": 1}),
+        (233, 30, {"max_ordered_cr": 0}),
+        (239, 30, {"max_ordered": 0}),
+        (241, 10, {"max_cr": 3, "max_head": 2}),
+    )
+    out = [pi3, pi3p]
+    for seed, n, kwargs in shapes:
+        rng = random.Random(seed)
+        out.extend(random_crp(rng, **kwargs) for _ in range(n))
+    return out
+
+
+def test_one_search_equals_union_over_subsets(one_search_corpus):
+    for p in one_search_corpus:
+        gas = generalized_answer_sets(p)
+        assert [g.atoms for g in gas] == [g.atoms for g in sorted(set(gas), key=GeneralizedAnswerSet.sort_key)]
+        assert {g.atoms for g in gas} == union_over_subsets(p)
+
+
+def test_hpi_defines_no_appl_atom(one_search_corpus):
+    # the one search over free appl choices rests on this
+    for p in one_search_corpus:
+        for r in build_hpi(p).rules:
+            heads = r.head.atoms if isinstance(r.head, ChoiceHead) else (r.head,)
+            assert not any(h is not None and h.predicate == "appl" for h in heads)
 
 def test_regular_only_program_generalized_sets():
     p = canonicalize(parse("a :- not b.\nb :- not a.", Dialect.CRP2))

@@ -124,6 +124,14 @@ def test_canonicalize_idempotent_and_rule_preserving():
         assert validate_program(q).ok == validate_program(p).ok
 
 
+
+def test_canonicalize_repeated_rule_object_gets_two_indices():
+    r = Rule(kind=RuleKind.ORDERED, head_atoms=(Atom("a"), Atom("b")))
+    q = canonicalize(Program(dialect=Dialect.LPOD, rules=(r, r)))
+    assert [x.index for x in q.rules] == [1, 2]
+    assert len({x.label for x in q.rules}) == 2
+    assert canonicalize(q) == q
+
 def test_assumption_domains_lpod(pi1, pi2):
     assert pi1.assumption_domains() == ((0, 1, 2), (0, 1, 2))
     assert pi2.assumption_domains() == ((0, 1, 2, 3, 4), (0, 1, 2, 3))
