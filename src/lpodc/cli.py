@@ -47,7 +47,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 choices=[c.value for c in lpod.Criterion],
                 help="preference criterion (lpod only; default: all four)",
             )
-        sp.add_argument("--cap", type=int, default=None, help="atom cap (default 24, env LPODC_CAP)")
+        sp.add_argument(
+            "--cap",
+            type=int,
+            default=None,
+            help="most atoms the input program may have (default 24, env LPODC_CAP); "
+            "the per-tuple and host-program searches have no cap",
+        )
         sp.add_argument("-o", "--output", metavar="FILE", help="write output here instead of stdout")
         sp.add_argument("--format", choices=["text", "json"], default="text")
 

@@ -181,7 +181,7 @@ def generalized_answer_sets(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
         + tuple(GroundRule(head=ChoiceHead(atoms=(a,))) for a in appl_atom_space(p)),
         extra_atoms=hpi.extra_atoms,
     )
-    found = (GeneralizedAnswerSet(atoms=s.atoms) for s in answer_sets(prog, cap=len(prog.atoms)))
+    found = (GeneralizedAnswerSet(atoms=s.atoms) for s in answer_sets(prog, cap=None))
     return tuple(sorted(found, key=GeneralizedAnswerSet.sort_key))
 
 
@@ -269,6 +269,6 @@ def assumption_projections(p: Program, cap: int = DEFAULT_ATOM_CAP) -> frozenset
         raise CapExceeded(len(sigma), cap)
     out = set()
     for prog in crp_assumption_programs(p).values():
-        for s in answer_sets(prog, cap=len(prog.atoms)):
+        for s in answer_sets(prog, cap=None):
             out.add(frozenset(a for a in s.atoms if a in sigma))
     return frozenset(out)

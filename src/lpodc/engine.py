@@ -188,7 +188,6 @@ _TRUE, _FALSE, _UNDEC = 1, 0, -1
 class _Search:
     def __init__(self, program: GroundProgram, atoms: frozenset):
         self.program = program
-        atoms = sorted(atoms, key=Atom.sort_key)
         choice_atoms = set()
         guess_atoms = set()
         for r in program.rules:
@@ -331,10 +330,11 @@ class _Search:
             stack.append((t | (1 << i), f))
 
 
-def answer_sets(p: GroundProgram, cap: int = DEFAULT_ATOM_CAP) -> tuple:
-    """All answer sets, sorted for determinism; penalties unset."""
+def answer_sets(p: GroundProgram, cap: Optional[int] = DEFAULT_ATOM_CAP) -> tuple:
+    """All answer sets, sorted for determinism; penalties unset. A cap of
+    None searches programs of any size."""
     atoms = p.atoms
-    if len(atoms) > cap:
+    if cap is not None and len(atoms) > cap:
         raise CapExceeded(len(atoms), cap)
     found = set(_Search(p, atoms).run())
     return tuple(sorted((AnswerSet(atoms=s) for s in found), key=AnswerSet.sort_key))
@@ -354,7 +354,7 @@ def brute_force_answer_sets(p: GroundProgram, cap: int = 16) -> tuple:
     return tuple(sorted(found, key=AnswerSet.sort_key))
 
 
-def optimal_answer_sets(p: GroundProgram, cap: int = DEFAULT_ATOM_CAP) -> tuple:
+def optimal_answer_sets(p: GroundProgram, cap: Optional[int] = DEFAULT_ATOM_CAP) -> tuple:
     """Minimum-penalty answer sets, each annotated with its total penalty."""
     sets = answer_sets(p, cap=cap)
     if not sets:

@@ -1,8 +1,13 @@
 """Executes translated documents without an external solver.
 
-The per-tuple statements of a document are grounded for one assumption
-tuple at a time and solved independently (the partial ground programs share
-no atoms), which keeps the search spaces tiny. The cross-tuple layer
+The per-tuple statements of a document are solved for one assumption
+tuple at a time (the partial ground programs share no atoms), which keeps
+the search spaces tiny. Those statements take the tuple X1..Xm as extra
+arguments, so the per-tuple programs differ only where a statement tests
+an X_i: each statement is ground once per value of its gate, the X_i it
+compares, ranges over or computes with, with the other X_i as parameters,
+and a tuple's program is those templates with its values substituted
+(`tuple_ground_program`). The cross-tuple layer
 (preference / dominance / candidate / preferred) is then evaluated as a
 stratified bottom-up fixpoint over the collected facts. Every LPOD
 criterion document shares the tuple layer of the base translation, so that
@@ -28,7 +33,7 @@ from .engine import (
     WeakConstraint,
     optimal_answer_sets,
 )
-from .model import AnswerSet, Atom, Dialect, Term
+from .model import AnswerSet, Atom, Dialect, Term, _arg_key
 from .translate import (
     AspDocument,
     BinOp,
@@ -322,10 +327,195 @@ def _ground(doc: AspDocument, statements, fixed: dict) -> GroundProgram:
     return GroundProgram(rules=tuple(rules), weak=tuple(weak))
 
 
+class _Param:
+    """Stands for the tuple value X_{index+1} in a statement ground once
+    for every value of the X_i it does not gate on."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __repr__(self) -> str:
+        return "X%d" % (self.index + 1)
+
+
+def _gate(stmt, m: int) -> tuple:
+    """Indices i of the X_{i+1} whose value shapes the grounding of `stmt`:
+    every use but a plain literal argument, an argument nested in a term,
+    or a weak-constraint term. The other X_i only name the atoms."""
+    used: set = set()
+
+    def plain(e):
+        if isinstance(e, Fn):
+            for a in e.args:
+                plain(a)
+        elif not isinstance(e, Var):
+            _expr_vars(e, used)  # arithmetic
+
+    def item(it):
+        if isinstance(it, Lit):
+            for a in it.args:
+                plain(a)
+            return
+        _item_vars(it, used)
+        if isinstance(it, CountExpr):
+            elements(it.elements)
+
+    def elements(els):
+        for el in els:
+            for it in (el.item,) + el.conds:
+                item(it)
+
+    if isinstance(stmt, WeakStmt):
+        for t in stmt.terms:
+            plain(t)
+    elif isinstance(stmt, RuleStmt):
+        head = stmt.head
+        if isinstance(head, Lit):
+            item(head)
+        elif isinstance(head, ChoiceExpr):
+            for b in (head.lower, head.upper):
+                if b is not None:
+                    _expr_vars(b, used)
+            elements(head.elements)
+    for it in getattr(stmt, "body", ()):
+        item(it)
+    return tuple(i for i in range(m) if "X%d" % (i + 1) in used)
+
+
+def _has_param(v) -> bool:
+    if type(v) is _Param:
+        return True
+    return type(v) is Term and any(_has_param(a) for a in v.args)
+
+
+def _subst(v, xs: tuple):
+    if type(v) is _Param:
+        return xs[v.index]
+    if type(v) is Term:
+        return Term(v.functor, tuple([_subst(a, xs) for a in v.args]))
+    return v
+
+
+def _fixed_order(atoms: tuple) -> bool:
+    """Whether sorted template atoms stay sorted whatever values their
+    parameters take: each neighbour pair is told apart by its predicate,
+    its arity or its first differing argument, which holds no parameter."""
+    for a, b in zip(atoms, atoms[1:]):
+        if (a.predicate, len(a.args)) != (b.predicate, len(b.args)):
+            continue
+        u, v = next((u, v) for u, v in zip(a.args, b.args) if u != v)
+        if _has_param(u) or _has_param(v) or _arg_key(u) == _arg_key(v):
+            return False
+    return True
+
+
+class _Template:
+    """One tuple-phase statement ground for one value of its gate, with a
+    `_Param` for each other X_i, ready to be instantiated per tuple.
+
+    An instantiation first builds the distinct atoms and parameter-holding
+    terms of the template into a pool that starts with the tuple's values:
+    `values` holds (class, name, args, slots) per entry, children before
+    parents, and slot (position, k) puts pool[k] at args[position]. The
+    ground objects are kept as pool indices.
+    """
+
+    def __init__(self, objs, m: int):
+        index = {}
+        self.values = []
+
+        def ref(v) -> int:
+            if type(v) is _Param:
+                return v.index
+            k = index.get(v)
+            if k is None:
+                name = v.predicate if type(v) is Atom else v.functor
+                slots = tuple((pos, ref(a)) for pos, a in enumerate(v.args) if _has_param(a))
+                self.values.append((type(v), name, v.args, slots))
+                k = index[v] = m + len(self.values) - 1
+            return k
+
+        def refs(atoms) -> tuple:
+            return tuple(ref(a) for a in atoms)
+
+        def aggs(obj) -> tuple:
+            return tuple((refs(g.atoms), g.fixed, g.lower, g.upper) for g in obj.aggregates)
+
+        self.rules, self.weak = [], []
+        for obj in objs:
+            body = (refs(obj.pos), refs(obj.neg), aggs(obj))
+            if isinstance(obj, WeakConstraint):
+                self.weak.append(body + (obj.weight, obj.terms))
+            elif isinstance(obj.head, ChoiceHead):
+                h = obj.head
+                head = (refs(h.atoms), h.lower, h.upper, _fixed_order(h.atoms))
+                self.rules.append(body + (head,))
+            else:
+                self.rules.append(body + (None if obj.head is None else ref(obj.head),))
+
+    def instantiate(self, xs: tuple, rules: list, weak: list) -> None:
+        pool = list(xs)
+        for make, name, args, slots in self.values:
+            if slots:
+                args = list(args)
+                for pos, k in slots:
+                    args[pos] = pool[k]
+                args = tuple(args)
+            pool.append(make(name, args))
+        at = pool.__getitem__
+
+        def body(pos, neg, aggs):
+            aggs = tuple(
+                CountAggregate(atoms=frozenset(map(at, g)), fixed=fixed, lower=lower, upper=upper)
+                for g, fixed, lower, upper in aggs
+            )
+            return frozenset(map(at, pos)), frozenset(map(at, neg)), aggs
+
+        for pos, neg, aggs, head in self.rules:
+            if type(head) is tuple:
+                atoms, lower, upper, fixed_order = head
+                atoms = tuple(map(at, atoms))
+                if not fixed_order:
+                    atoms = tuple(sorted(set(atoms), key=Atom.sort_key))
+                head = ChoiceHead(atoms=atoms, lower=lower, upper=upper)
+            elif head is not None:
+                head = pool[head]
+            pos, neg, aggs = body(pos, neg, aggs)
+            rules.append(GroundRule(head=head, pos=pos, neg=neg, aggregates=aggs))
+        for pos, neg, aggs, weight, terms in self.weak:
+            pos, neg, aggs = body(pos, neg, aggs)
+            terms = tuple([_subst(t, xs) for t in terms])
+            weak.append(
+                WeakConstraint(pos=pos, neg=neg, aggregates=aggs, weight=weight, terms=terms)
+            )
+
+
 def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
-    """Partial ground program for one assumption tuple."""
-    fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
-    return _ground(doc, [s for s in doc.statements if s.phase == "tuple"], fixed)
+    """Partial ground program for one assumption tuple.
+
+    Each tuple-phase statement is ground once per value of its gate (see
+    `_gate`) with the other X_i as parameters, and kept in `doc.templates`;
+    the tuple's program is those templates with its values substituted,
+    rule for rule what grounding the statements for the tuple yields.
+    """
+    m = len(doc.domains)
+    if not doc.templates:
+        for i, stmt in enumerate(doc.statements):
+            if stmt.phase == "tuple":
+                doc.templates[i] = (_gate(stmt, m), {})
+    rules, weak = [], []
+    for i, (gate, by_value) in doc.templates.items():
+        key = tuple(xs[g] for g in gate)
+        template = by_value.get(key)
+        if template is None:
+            fixed = {"X%d" % (g + 1): _Param(g) for g in range(m)}
+            fixed.update(("X%d" % (g + 1), xs[g]) for g in gate)
+            objs = _ground_statement(doc.statements[i], doc, fixed)
+            template = by_value[key] = _Template(objs, m)
+        template.instantiate(xs, rules, weak)
+    return GroundProgram(rules=tuple(rules), weak=tuple(weak))
 
 
 def ground_document(doc: AspDocument) -> GroundProgram:
@@ -467,8 +657,7 @@ class EvaluatedTranslation:
 
 def _solve_tuple(doc: AspDocument, xs: tuple) -> list:
     """Optimal models of one tuple's program that contain its ap atom."""
-    prog = tuple_ground_program(doc, xs)
-    best = optimal_answer_sets(prog, cap=len(prog.atoms))
+    best = optimal_answer_sets(tuple_ground_program(doc, xs), cap=None)
     ap_atom = Atom("ap", xs)
     return [s for s in best if ap_atom in s.atoms]
 

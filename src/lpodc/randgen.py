@@ -21,7 +21,10 @@ def _literal(rng: random.Random, atoms) -> Literal:
 
 def _body(rng: random.Random, atoms, max_len: int = 2) -> tuple:
     picks = rng.sample(atoms, k=min(len(atoms), rng.randint(0, max_len)))
-    return tuple(Literal(atom=Atom(a), negated=rng.random() < 0.5) for a in picks)
+    return tuple(
+        Literal(atom=a if isinstance(a, Atom) else Atom(a), negated=rng.random() < 0.5)
+        for a in picks
+    )
 
 
 def random_lpod(
@@ -63,6 +66,36 @@ def random_lpod(
         if len(heads) < 2:
             heads = tuple(Atom(a) for a in (atoms * 2)[:2])
         rules.append(Rule(kind=RuleKind.ORDERED, head_atoms=heads, body=_body(rng, atoms, 2)))
+    return canonicalize(Program(dialect=Dialect.LPOD, rules=tuple(rules)))
+
+
+def random_lpod_args(rng: random.Random) -> Program:
+    """An LPOD program over atoms with constant arguments. It always has a
+    bounded choice over a numbered family p(1..k), which the translation
+    folds into one conditional element p(P,X1,...): P=1..k, plus regular
+    and ordered rules over that family and q(a), q(b), r(1,c)."""
+    family = [Atom("p", (i,)) for i in range(1, rng.randint(2, 3) + 1)]
+    others = [Atom("q", ("a",)), Atom("q", ("b",)), Atom("r", (1, "c"))]
+    atoms = family + others[: rng.randint(1, len(others))]
+    lo = rng.randint(0, 1)
+    rules = [
+        Rule(
+            kind=RuleKind.REGULAR,
+            head_atoms=tuple(family),
+            body=_body(rng, atoms[len(family) :], 1),
+            choice_bounds=(lo, rng.randint(max(lo, 1), len(family))),
+        )
+    ]
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.3:
+            body = _body(rng, atoms, 2) or (Literal(rng.choice(atoms)),)
+            rules.append(Rule(kind=RuleKind.REGULAR, body=body))
+        else:
+            head = (rng.choice(atoms),)
+            rules.append(Rule(kind=RuleKind.REGULAR, head_atoms=head, body=_body(rng, atoms, 2)))
+    for _ in range(rng.randint(1, 2)):
+        heads = tuple(rng.sample(atoms, k=min(rng.randint(2, 3), len(atoms))))
+        rules.append(Rule(kind=RuleKind.ORDERED, head_atoms=heads, body=_body(rng, atoms, 1)))
     return canonicalize(Program(dialect=Dialect.LPOD, rules=tuple(rules)))
 
 

@@ -14,7 +14,7 @@ stratified layer over collected facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Union
 
@@ -138,6 +138,9 @@ class AspDocument:
     statements: tuple
     constants: tuple = ()  # (name, value) pairs
     criterion: Optional[str] = None
+    # ground templates of the tuple-phase statements, built by
+    # evaluate.tuple_ground_program on first use and freed with the document
+    templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tuple_space(self) -> tuple:
         return tuple(product(*self.domains))

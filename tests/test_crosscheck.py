@@ -13,8 +13,8 @@ from lpodc.crosscheck import (
 )
 from lpodc.model import Dialect, canonicalize
 from lpodc.parser import parse
-from lpodc.randgen import random_lpod
-from lpodc.translate import lpod2asp_base
+from lpodc.randgen import random_lpod, random_lpod_args
+from lpodc.translate import ChoiceExpr, RangeBind, lpod2asp_base
 
 
 def test_check_lpod_reports_ok(pi1):
@@ -40,6 +40,19 @@ def test_check_lpod_solves_once_for_all_criteria(pi2, monkeypatch):
     assert result.ok
     assert sum("preferred answer sets" in line for line in result.lines) == len(lpod.Criterion)
     assert calls == {"ground": len(lpod2asp_base(pi2).tuple_space()), "candidates": 1}
+
+
+def test_check_lpod_on_atoms_with_arguments():
+    rng = random.Random(67)
+    for _ in range(20):
+        p = random_lpod_args(rng)
+        # the numbered family's choice is folded into one conditional element
+        doc = lpod2asp_base(p)
+        heads = [s.head for s in doc.statements if isinstance(getattr(s, "head", None), ChoiceExpr)]
+        conds = [c for h in heads for e in h.elements for c in e.conds]
+        assert any(isinstance(c, RangeBind) and c.var.name == "P" for c in conds)
+        result = check_lpod(p)
+        assert result.ok, result.lines
 
 
 def test_check_crp_reports_ok(pi3p):

@@ -82,6 +82,16 @@ def test_cap_exceeded():
         answer_sets(GroundProgram(extra_atoms=atoms))
 
 
+def test_cap_none_searches_any_size():
+    facts = tuple(GroundRule(head=Atom("p", (i,))) for i in range(30))
+    p = GroundProgram(rules=facts)
+    with pytest.raises(CapExceeded):
+        answer_sets(p)
+    expected = frozenset(r.head for r in facts)
+    assert [s.atoms for s in answer_sets(p, cap=None)] == [expected]
+    assert [s.atoms for s in optimal_answer_sets(p, cap=None)] == [expected]
+
+
 def test_choice_rule_bounds_act_as_constraint():
     p = GroundProgram(rules=(GroundRule(head=ChoiceHead(atoms=(A, B), lower=1, upper=1)),))
     assert sets(answer_sets(p)) == {frozenset({"a"}), frozenset({"b"})}

@@ -6,8 +6,10 @@ import pytest
 from conftest import name_sets
 from lpodc import crp as crp_semantics
 from lpodc import lpod
-from lpodc.engine import optimal_answer_sets
+from lpodc.engine import GroundProgram, optimal_answer_sets
 from lpodc.evaluate import (
+    _ground,
+    _solve_tuple,
     dump_ground,
     eval_crp,
     eval_lpod,
@@ -19,7 +21,7 @@ from lpodc.evaluate import (
 from lpodc.lpod import Criterion
 from lpodc.model import Dialect, Term, canonicalize
 from lpodc.parser import parse
-from lpodc.randgen import random_crp, random_lpod
+from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 from lpodc.translate import crp2asp, lpod2asp_base, lpod2asp_pref
 
 
@@ -268,3 +270,51 @@ def test_dump_ground_matches_goldens(pi1, pi3p):
     for doc, name in ((lpod2asp_base(pi1), "pi1_base.txt"), (crp2asp(pi3p), "pi3p.txt")):
         golden = (GROUND / name).read_text()
         assert _tuple_sections(dump_ground(doc)) == _tuple_sections(golden)
+
+
+def _chain(heads: tuple):
+    """a_i * b_i [* c_i] :- not d_i. per entry of heads, plus :- a_i, a_{i+1}."""
+    lines = [
+        "%s :- not d%d." % (" * ".join("%s%d" % (c, i) for c in "abc"[:n]), i)
+        for i, n in enumerate(heads, start=1)
+    ]
+    lines += [":- a%d, a%d." % (i, i + 1) for i in range(1, len(heads))]
+    return canonicalize(parse("\n".join(lines), Dialect.LPOD))
+
+
+def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
+    # the reference grounds every tuple-phase statement with all X_i fixed
+    docs = []
+    for p in (pi1, pi2):
+        docs.append(lpod2asp_base(p))
+        docs.extend(lpod2asp_pref(p, c) for c in Criterion)
+    docs += [crp2asp(pi3), crp2asp(pi3p)]
+    docs += [lpod2asp_base(_chain(heads)) for heads in ((3, 3), (2, 3, 2), (2, 2, 3, 2))]
+    rng = random.Random(4421)
+    for _ in range(50):
+        docs += [lpod2asp_base(random_lpod(rng)), crp2asp(random_crp(rng))]
+    docs += [lpod2asp_base(random_lpod_args(rng)) for _ in range(25)]
+    tuples = 0
+    for doc in docs:
+        statements = _tuple_phase(doc)
+        for xs in doc.tuple_space():
+            fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
+            assert tuple_ground_program(doc, xs) == _ground(doc, statements, fixed), xs
+            tuples += 1
+    assert len(docs) == 140 and tuples > 1500
+
+
+def test_solve_tuple_builds_the_atom_set_once(pi2, monkeypatch):
+    calls = []
+    atoms = GroundProgram.atoms.fget
+
+    def counted(prog):
+        calls.append(prog)
+        return atoms(prog)
+
+    monkeypatch.setattr(GroundProgram, "atoms", property(counted))
+    doc = lpod2asp_base(pi2)
+    for xs in doc.tuple_space():
+        calls.clear()
+        _solve_tuple(doc, xs)
+        assert len(calls) == 1, xs
