@@ -28,9 +28,9 @@ def _sets(projections) -> frozenset:
 def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckResult:
     """Split-vs-assumption agreement plus, per criterion, oracle-vs-evaluator
     agreement on candidates and preferred answer sets. The oracle's
-    candidates and the translation's tuple layer are computed once; per
-    criterion the oracle filters those candidates and the evaluator adds
-    that criterion's layer to the tuple layer."""
+    candidates, the base translation and its tuple layer are computed
+    once; per criterion the oracle filters those candidates and the
+    evaluator adds that criterion's layer to the tuple layer."""
     criteria = list(criteria or lpod.Criterion)
     result = CheckResult(ok=True)
     split_proj = lpod.split_candidate_projections(p, cap=cap)
@@ -47,9 +47,10 @@ def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckR
     oracle_by_tuple = {}
     for c in candidates:
         oracle_by_tuple.setdefault(c.assumption, set()).add(c.atoms)
-    tuples = evaluate.eval_lpod(translate.lpod2asp_base(p), cap=cap)
+    base = translate.lpod2asp_base(p)
+    tuples = evaluate.eval_lpod(base, cap=cap)
     for criterion in criteria:
-        ev = evaluate.with_criterion(tuples, translate.lpod2asp_pref(p, criterion))
+        ev = evaluate.with_criterion(tuples, translate.lpod2asp_criterion(base, criterion))
         trans_by_tuple = {xs: set(ev.projections[xs]) for xs in ev.ap_tuples}
         result.add(
             oracle_by_tuple == trans_by_tuple,

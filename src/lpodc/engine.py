@@ -5,13 +5,20 @@ over already-instantiated elements, and weak constraints with one
 optimization level. Aggregates must be stratified: no recursion through an
 aggregate is supported, which holds for everything the translator emits.
 
-Enumeration walks the binary assignment tree over the signature, pruning a
-branch as soon as a constraint is definitely violated and propagating
-forced values (unit constraints, unsupported atoms, cardinality bounds).
-Every complete assignment that survives is independently re-verified with
-the minimal-model-of-reduct check, so the search can only lose answer sets,
-never invent them; a plain subset enumerator is kept for differential
-testing of exactly that.
+The search core works on rows over atoms 0..n-1, every atom set a bit
+mask: a row is (head, pos, neg, aggs), head being None (constraint), the
+head atom's bit, or (elements, lower, upper) for a bounded choice, and aggs
+one (lower, upper, elements, fixed) per count aggregate. `answer_sets`
+compiles a `GroundProgram` into rows; the evaluator compiles its per-tuple
+templates into rows directly and seeds the assumption atom true. The
+search walks the binary assignment tree over a pair of masks (true,
+false), pruning a branch once a constraint is definitely violated and
+propagating forced values (unit constraints, unsupported atoms, cardinality
+bounds). Every complete assignment that survives is re-verified on masks
+(`is_stable`: constraints, choice bounds, least model of the reduct), so
+the search can only lose answer sets, never invent them; the object-level
+`is_answer_set`, `reduct` and a plain subset enumerator are kept for
+differential testing of exactly that.
 """
 
 from __future__ import annotations
@@ -180,154 +187,178 @@ def penalty_of(p: GroundProgram, interp: frozenset) -> int:
     return sum(weight for weight, _terms in violated)
 
 
-# --- assignment-tree search -------------------------------------------------
-
-_TRUE, _FALSE, _UNDEC = 1, 0, -1
+# --- assignment-tree search over rows ------------------------------------------
 
 
-class _Search:
-    def __init__(self, program: GroundProgram, atoms: frozenset):
-        self.program = program
-        choice_atoms = set()
-        guess_atoms = set()
-        for r in program.rules:
-            if isinstance(r.head, ChoiceHead):
-                choice_atoms.update(r.head.atoms)
-            guess_atoms.update(r.neg)
-            for agg in r.aggregates:
-                guess_atoms.update(agg.atoms)
-        # branch on choice elements first, then negated/aggregated atoms
-        rank = {a: (0 if a in choice_atoms else 1 if a in guess_atoms else 2) for a in atoms}
-        self.order = sorted(atoms, key=lambda a: (rank[a], a.sort_key()))
-        self.index = {a: i for i, a in enumerate(self.order)}
-        self.n = len(self.order)
-        self.all_mask = (1 << self.n) - 1
+def _aggs_state(aggs, t: int, f: int):
+    """None if some aggregate is false under (t, f), True if all hold
+    whatever the open atoms become, False otherwise. Under a complete
+    interpretation (t, ~t) it is True exactly when all hold."""
+    definite = True
+    for lower, upper, elem, fixed in aggs:
+        lo_cnt = fixed + (elem & t).bit_count()
+        hi_cnt = fixed + (elem & ~f).bit_count()
+        if (lower is not None and hi_cnt < lower) or (upper is not None and lo_cnt > upper):
+            return None
+        if not ((lower is None or lo_cnt >= lower) and (upper is None or hi_cnt <= upper)):
+            definite = False
+    return definite
 
-        def mask(items) -> int:
-            m = 0
-            for a in items:
-                m |= 1 << self.index[a]
-            return m
 
-        self.rules = []
-        head_rules = [[] for _ in range(self.n)]
-        for r in program.rules:
-            aggs = tuple(
-                (agg.lower, agg.upper, mask(agg.atoms), agg.fixed) for agg in r.aggregates
-            )
-            if isinstance(r.head, ChoiceHead):
-                head = ("choice", r.head.lower, r.head.upper, mask(r.head.atoms))
-                targets = [self.index[a] for a in r.head.atoms]
-            elif isinstance(r.head, Atom):
-                head = ("atom", self.index[r.head])
-                targets = [self.index[r.head]]
+def _propagate(rows, full: int, t: int, f: int):
+    """Close (t, f) under the rows: a constraint with one open literal left
+    falsifies it, a rule with a true body makes its head true, a choice with
+    a true body at a bound decides its open elements, and an atom that no
+    row with a body not yet false can derive is false. None on a conflict."""
+    while True:
+        t0, f0 = t, f
+        supported = 0
+        for head, pos, neg, aggs in rows:
+            if pos & f or neg & t:
+                continue
+            definite = pos & t == pos and neg & f == neg
+            if aggs:
+                state = _aggs_state(aggs, t, f)
+                if state is None:
+                    continue
+                definite = definite and state
+            if head is None:
+                if definite:
+                    return None
+                if not aggs:
+                    pos_open = pos & ~t
+                    open_bits = pos_open | (neg & ~f)
+                    if not open_bits & (open_bits - 1):
+                        if pos_open:
+                            f |= open_bits
+                        else:
+                            t |= open_bits
+            elif type(head) is int:
+                supported |= head
+                if definite and not head & t:
+                    if head & f:
+                        return None
+                    t |= head
             else:
-                head = ("none",)
-                targets = []
-            idx = len(self.rules)
-            self.rules.append((head, mask(r.pos), mask(r.neg), aggs))
-            for t in targets:
-                head_rules[t].append(idx)
-        self.head_rules = head_rules
-
-    def _body_state(self, rule, t: int, f: int) -> int:
-        _head, pos, neg, aggs = rule
-        if pos & f or neg & t:
-            return _FALSE
-        definite = (pos & t) == pos and (neg & f) == neg
-        for lower, upper, elem, fixed in aggs:
-            lo_cnt = fixed + (elem & t).bit_count()
-            hi_cnt = fixed + (elem & ~f).bit_count()
-            if (lower is not None and hi_cnt < lower) or (upper is not None and lo_cnt > upper):
-                return _FALSE
-            if not ((lower is None or lo_cnt >= lower) and (upper is None or hi_cnt <= upper)):
-                definite = False
-        return _TRUE if definite else _UNDEC
-
-    def _propagate(self, t: int, f: int):
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.rules:
-                head, pos, neg, aggs = rule
-                state = self._body_state(rule, t, f)
-                if head[0] == "none":
-                    if state == _TRUE:
-                        return None
-                    if state == _UNDEC and not aggs:
-                        # unit constraint: one undecided literal left
-                        pos_open = pos & ~t
-                        neg_open = neg & ~f
-                        open_bits = pos_open | neg_open
-                        if open_bits.bit_count() == 1:
-                            if pos_open:
-                                f |= pos_open
-                            else:
-                                t |= neg_open
-                            changed = True
-                elif head[0] == "atom":
-                    if state == _TRUE and not (t >> head[1]) & 1:
-                        if (f >> head[1]) & 1:
-                            return None
-                        t |= 1 << head[1]
-                        changed = True
-                elif state == _TRUE:
-                    _tag, lower, upper, elem = head
+                elem, lower, upper = head
+                supported |= elem
+                if definite:
                     n_true = (elem & t).bit_count()
-                    open_elem = elem & ~t & ~f
+                    open_elem = elem & ~(t | f)
                     possible = n_true + open_elem.bit_count()
-                    if upper is not None and n_true > upper:
-                        return None
-                    if lower is not None and possible < lower:
+                    if upper is not None and n_true > upper or lower is not None and possible < lower:
                         return None
                     if open_elem:
                         if lower is not None and possible == lower:
                             t |= open_elem
-                            changed = True
                         elif upper is not None and n_true == upper:
                             f |= open_elem
-                            changed = True
-            # an atom with no potentially applicable defining rule is false
-            open_or_true = ~f & self.all_mask
-            bits = open_or_true
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                i = low.bit_length() - 1
-                supported = False
-                for ridx in self.head_rules[i]:
-                    if self._body_state(self.rules[ridx], t, f) != _FALSE:
-                        supported = True
-                        break
-                if not supported:
-                    if (t >> i) & 1:
-                        return None
-                    f |= low
-                    changed = True
-        return t, f
+        unsupported = full & ~(f | supported)
+        if unsupported & t:
+            return None
+        f |= unsupported
+        if t == t0 and f == f0:
+            return t, f
 
-    def run(self):
-        program = self.program
-        order = self.order
-        stack = [(0, 0)]
-        while stack:
-            t, f = stack.pop()
-            result = self._propagate(t, f)
-            if result is None:
-                continue
-            t, f = result
-            open_bits = ~(t | f) & self.all_mask
-            if not open_bits:
-                interp = frozenset(
-                    order[i] for i in range(self.n) if (t >> i) & 1
-                )
-                if is_answer_set(program, interp):
-                    yield interp
-                continue
-            low = open_bits & -open_bits
-            i = low.bit_length() - 1
-            stack.append((t, f | (1 << i)))
-            stack.append((t | (1 << i), f))
+
+def is_stable(rows, interp: int) -> bool:
+    """Leaf check on masks: `interp` violates no constraint or choice bound
+    and is the least model of the reduct of the rows relative to it."""
+    definite = []
+    for head, pos, neg, aggs in rows:
+        if neg & interp or (aggs and not _aggs_state(aggs, interp, ~interp)):
+            continue
+        body = pos & interp == pos
+        if head is None:
+            if body:
+                return False
+        elif type(head) is int:
+            definite.append((head, pos))
+        else:
+            elem, lower, upper = head
+            chosen = elem & interp
+            n = chosen.bit_count()
+            if body and (lower is not None and n < lower or upper is not None and n > upper):
+                return False
+            if chosen:
+                definite.append((chosen, pos))
+    model, changed = 0, True
+    while changed:
+        changed = False
+        for head, pos in definite:
+            if pos & model == pos and head & ~model:
+                model |= head
+                changed = True
+    return model == interp
+
+
+def penalty_of_rows(weak, interp: int) -> int:
+    """Total penalty of weak rows (weight, terms, pos, neg, aggs) under
+    `interp`; distinct (weight, terms) count once each, as in `penalty_of`."""
+    violated = {
+        (weight, terms)
+        for weight, terms, pos, neg, aggs in weak
+        if pos & interp == pos and not neg & interp and _aggs_state(aggs, interp, ~interp)
+    }
+    return sum(weight for weight, _terms in violated)
+
+
+def solve_rows(rows, n: int, t: int, f: int):
+    """Yield the true mask of every answer set of the rows over atoms
+    0..n-1 that extends the seed (t, f). Branches on the lowest open atom,
+    true first; every leaf is re-verified by `is_stable`."""
+    full = (1 << n) - 1
+    stack = [(t, f)]
+    while stack:
+        t, f = stack.pop()
+        result = _propagate(rows, full, t, f)
+        if result is None:
+            continue
+        t, f = result
+        open_bits = full & ~(t | f)
+        if not open_bits:
+            if is_stable(rows, t):
+                yield t
+            continue
+        low = open_bits & -open_bits
+        stack.append((t, f | low))
+        stack.append((t | low, f))
+
+
+def _branch_order(p: GroundProgram, atoms: frozenset) -> list:
+    """Choice elements first, then negated or aggregated atoms, then the
+    rest, each group in `Atom.sort_key` order."""
+    choice_atoms, guess_atoms = set(), set()
+    for r in p.rules:
+        if isinstance(r.head, ChoiceHead):
+            choice_atoms.update(r.head.atoms)
+        guess_atoms.update(r.neg)
+        for agg in r.aggregates:
+            guess_atoms.update(agg.atoms)
+    rank = {a: (0 if a in choice_atoms else 1 if a in guess_atoms else 2) for a in atoms}
+    return sorted(atoms, key=lambda a: (rank[a], a.sort_key()))
+
+
+def mask_of(bits, keys) -> int:
+    """The union of bits[k] over `keys`."""
+    m = 0
+    for k in keys:
+        m |= bits[k]
+    return m
+
+
+def _rows(p: GroundProgram, order: list) -> list:
+    """The rules of `p` as rows, with atom order[i] at bit i."""
+    bit = {a: 1 << i for i, a in enumerate(order)}
+    rows = []
+    for r in p.rules:
+        if isinstance(r.head, ChoiceHead):
+            head = (mask_of(bit, r.head.atoms), r.head.lower, r.head.upper)
+        else:
+            head = None if r.head is None else bit[r.head]
+        aggs = tuple((g.lower, g.upper, mask_of(bit, g.atoms), g.fixed) for g in r.aggregates)
+        rows.append((head, mask_of(bit, r.pos), mask_of(bit, r.neg), aggs))
+    return rows
 
 
 def answer_sets(p: GroundProgram, cap: Optional[int] = DEFAULT_ATOM_CAP) -> tuple:
@@ -336,8 +367,12 @@ def answer_sets(p: GroundProgram, cap: Optional[int] = DEFAULT_ATOM_CAP) -> tupl
     atoms = p.atoms
     if cap is not None and len(atoms) > cap:
         raise CapExceeded(len(atoms), cap)
-    found = set(_Search(p, atoms).run())
-    return tuple(sorted((AnswerSet(atoms=s) for s in found), key=AnswerSet.sort_key))
+    order = _branch_order(p, atoms)
+    found = (
+        AnswerSet(atoms=frozenset(a for i, a in enumerate(order) if t >> i & 1))
+        for t in solve_rows(_rows(p, order), len(order), 0, 0)
+    )
+    return tuple(sorted(found, key=AnswerSet.sort_key))
 
 
 def brute_force_answer_sets(p: GroundProgram, cap: int = 16) -> tuple:

@@ -1,21 +1,23 @@
 """Executes translated documents without an external solver.
 
-The per-tuple statements of a document are solved for one assumption
-tuple at a time (the partial ground programs share no atoms), which keeps
-the search spaces tiny. Those statements take the tuple X1..Xm as extra
+The per-tuple statements of a document are solved for one assumption tuple
+at a time (the partial ground programs share no atoms), which keeps the
+search spaces tiny. Those statements take the tuple X1..Xm as extra
 arguments, so the per-tuple programs differ only where a statement tests
 an X_i: each statement is ground once per value of its gate, the X_i it
-compares, ranges over or computes with, with the other X_i as parameters,
-and a tuple's program is those templates with its values substituted
-(`tuple_ground_program`). The cross-tuple layer
-(preference / dominance / candidate / preferred) is then evaluated as a
-stratified bottom-up fixpoint over the collected facts. Every LPOD
-criterion document shares the tuple layer of the base translation, so that
-layer is solved once (`eval_lpod` on the base document) and each criterion
-is a fixpoint over it (`with_criterion`). A monolithic grounder for the
-whole document is kept for consistency checks and debug dumps. Grounding
-and the fixpoint enumerate statement bodies with the same join-ordered
-walker, `_join`.
+compares, ranges over or computes with, with the other X_i as parameters.
+A tuple is solved on integer rows (`_solve_tuple`): the atoms of its
+templates are interned into dense ids, their rules become engine rows and
+the search runs with `ap(xs)` seeded true; `tuple_ground_program`, the
+same templates instantiated as a `GroundProgram`, is the reference. The
+cross-tuple layer (preference / dominance / candidate / preferred) is then
+evaluated as a stratified bottom-up fixpoint over the collected facts.
+Every LPOD criterion document shares the tuple layer of the base
+translation, so that layer is solved once (`eval_lpod` on the base
+document) and each criterion is a fixpoint over it (`with_criterion`). A
+monolithic grounder for the whole document is kept for consistency checks
+and debug dumps. Grounding and the fixpoint enumerate statement bodies
+with the same join-ordered walker, `_join`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .engine import (
     GroundProgram,
     GroundRule,
     WeakConstraint,
-    optimal_answer_sets,
+    mask_of,
+    penalty_of_rows,
+    solve_rows,
 )
 from .model import AnswerSet, Atom, Dialect, Term, _arg_key
 from .translate import (
@@ -419,7 +423,8 @@ class _Template:
     terms of the template into a pool that starts with the tuple's values:
     `values` holds (class, name, args, slots) per entry, children before
     parents, and slot (position, k) puts pool[k] at args[position]. The
-    ground objects are kept as pool indices.
+    ground objects are kept as pool indices, which `instantiate` turns
+    into engine objects (the reference) and `rows` into engine rows.
     """
 
     def __init__(self, objs, m: int):
@@ -455,7 +460,10 @@ class _Template:
             else:
                 self.rules.append(body + (None if obj.head is None else ref(obj.head),))
 
-    def instantiate(self, xs: tuple, rules: list, weak: list) -> None:
+        self.atoms = tuple(k for k in index.values() if self.values[k - m][0] is Atom)
+
+    def pool(self, xs: tuple) -> list:
+        """The tuple's pool, with each atom as its (predicate, args) key."""
         pool = list(xs)
         for make, name, args, slots in self.values:
             if slots:
@@ -463,7 +471,13 @@ class _Template:
                 for pos, k in slots:
                     args[pos] = pool[k]
                 args = tuple(args)
-            pool.append(make(name, args))
+            pool.append((name, args) if make is Atom else make(name, args))
+        return pool
+
+    def instantiate(self, xs: tuple, rules: list, weak: list) -> None:
+        pool = self.pool(xs)
+        for k in self.atoms:
+            pool[k] = Atom(*pool[k])
         at = pool.__getitem__
 
         def body(pos, neg, aggs):
@@ -481,7 +495,7 @@ class _Template:
                     atoms = tuple(sorted(set(atoms), key=Atom.sort_key))
                 head = ChoiceHead(atoms=atoms, lower=lower, upper=upper)
             elif head is not None:
-                head = pool[head]
+                head = at(head)
             pos, neg, aggs = body(pos, neg, aggs)
             rules.append(GroundRule(head=head, pos=pos, neg=neg, aggregates=aggs))
         for pos, neg, aggs, weight, terms in self.weak:
@@ -491,21 +505,36 @@ class _Template:
                 WeakConstraint(pos=pos, neg=neg, aggregates=aggs, weight=weight, terms=terms)
             )
 
+    def rows(self, xs: tuple, bits: list, rows: list, weak: list) -> None:
+        """Append the template's rules for tuple `xs` as engine rows and its
+        weak constraints as (weight, terms, pos, neg, aggs) rows, where
+        bits[k] is the bit of the atom at pool index k."""
+        for pos, neg, aggs, head in self.rules:
+            if type(head) is tuple:
+                head = (mask_of(bits, head[0]), head[1], head[2])
+            elif head is not None:
+                head = bits[head]
+            rows.append((head,) + _body(bits, pos, neg, aggs))
+        for pos, neg, aggs, weight, terms in self.weak:
+            terms = tuple([_subst(t, xs) for t in terms])
+            weak.append((weight, terms) + _body(bits, pos, neg, aggs))
 
-def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
-    """Partial ground program for one assumption tuple.
 
-    Each tuple-phase statement is ground once per value of its gate (see
-    `_gate`) with the other X_i as parameters, and kept in `doc.templates`;
-    the tuple's program is those templates with its values substituted,
-    rule for rule what grounding the statements for the tuple yields.
-    """
+def _body(bits: list, pos, neg, aggs) -> tuple:
+    aggs = tuple((lower, upper, mask_of(bits, g), fixed) for g, fixed, lower, upper in aggs)
+    return mask_of(bits, pos), mask_of(bits, neg), aggs
+
+
+def _templates(doc: AspDocument, xs: tuple) -> list:
+    """The templates of the tuple-phase statements for tuple `xs`, each
+    ground on first use of its gate value (see `_gate`) and kept in
+    `doc.templates`."""
     m = len(doc.domains)
     if not doc.templates:
         for i, stmt in enumerate(doc.statements):
             if stmt.phase == "tuple":
                 doc.templates[i] = (_gate(stmt, m), {})
-    rules, weak = [], []
+    out = []
     for i, (gate, by_value) in doc.templates.items():
         key = tuple(xs[g] for g in gate)
         template = by_value.get(key)
@@ -514,6 +543,17 @@ def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
             fixed.update(("X%d" % (g + 1), xs[g]) for g in gate)
             objs = _ground_statement(doc.statements[i], doc, fixed)
             template = by_value[key] = _Template(objs, m)
+        out.append(template)
+    return out
+
+
+def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
+    """Partial ground program for one assumption tuple: the templates of
+    the tuple's statements with its values substituted, rule for rule what
+    grounding the statements for the tuple yields. The reference for
+    `_solve_tuple`, which solves the same rules as engine rows."""
+    rules, weak = [], []
+    for template in _templates(doc, xs):
         template.instantiate(xs, rules, weak)
     return GroundProgram(rules=tuple(rules), weak=tuple(weak))
 
@@ -656,10 +696,27 @@ class EvaluatedTranslation:
 
 
 def _solve_tuple(doc: AspDocument, xs: tuple) -> list:
-    """Optimal models of one tuple's program that contain its ap atom."""
-    best = optimal_answer_sets(tuple_ground_program(doc, xs), cap=None)
-    ap_atom = Atom("ap", xs)
-    return [s for s in best if ap_atom in s.atoms]
+    """Optimal models of one tuple's program that contain its ap atom.
+
+    The tuple's templates are solved as engine rows over dense atom ids
+    with `ap(xs)` seeded true: the program's only weak constraint is its
+    instance of `:~ ap(xs). [-1]`, so its optimal models that contain
+    `ap(xs)` are its answer sets that contain it. Atoms are built for
+    those answer sets only.
+    """
+    ids, rows, weak = {}, [], []
+    for template in _templates(doc, xs):
+        pool = template.pool(xs)
+        bits = [0] * len(pool)
+        for k in template.atoms:
+            bits[k] = 1 << ids.setdefault(pool[k], len(ids))
+        template.rows(xs, bits, rows, weak)
+    keys = list(ids)
+    models = []
+    for t in solve_rows(rows, len(keys), 1 << ids[("ap", xs)], 0):
+        atoms = frozenset(Atom(*keys[i]) for i in range(len(keys)) if t >> i & 1)
+        models.append(AnswerSet(atoms=atoms, penalty=penalty_of_rows(weak, t)))
+    return sorted(models, key=AnswerSet.sort_key)
 
 
 def _solve_tuples(doc: AspDocument, cap: int) -> dict:

@@ -15,10 +15,6 @@ from .engine import ChoiceHead, CountAggregate, GroundProgram, GroundRule
 ATOM_POOL = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j")
 
 
-def _literal(rng: random.Random, atoms) -> Literal:
-    return Literal(atom=Atom(rng.choice(atoms)), negated=rng.random() < 0.5)
-
-
 def _body(rng: random.Random, atoms, max_len: int = 2) -> tuple:
     picks = rng.sample(atoms, k=min(len(atoms), rng.randint(0, max_len)))
     return tuple(

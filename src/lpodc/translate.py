@@ -471,9 +471,15 @@ def _pref_common_tail(m: int, domains, ap_domain) -> list:
 
 def lpod2asp_pref(p: Program, criterion) -> AspDocument:
     """Full translation: the base document plus one criterion's layer."""
+    return lpod2asp_criterion(lpod2asp_base(p), criterion)
+
+
+def lpod2asp_criterion(base: AspDocument, criterion) -> AspDocument:
+    """An `lpod2asp_base` document plus one criterion's layer."""
     from .lpod import Criterion
 
-    base = lpod2asp_base(p)
+    if base.dialect is not Dialect.LPOD or base.criterion is not None:
+        raise ValueError("a criterion layer extends an lpod2asp_base document")
     m, heads, domains = base.m, base.heads, base.domains
     maxdegree = max(heads)
     ap_domain = base.ap_terms()

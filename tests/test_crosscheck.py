@@ -3,7 +3,7 @@ import random
 import pytest
 
 import lpodc.crosscheck as crosscheck
-from lpodc import evaluate, lpod
+from lpodc import evaluate, lpod, translate
 from lpodc.crosscheck import (
     CheckResult,
     check_crp,
@@ -25,7 +25,7 @@ def test_check_lpod_reports_ok(pi1):
 
 
 def test_check_lpod_solves_once_for_all_criteria(pi2, monkeypatch):
-    calls = {"ground": 0, "candidates": 0}
+    calls = {"solve": 0, "candidates": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -34,12 +34,27 @@ def test_check_lpod_solves_once_for_all_criteria(pi2, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(evaluate, "tuple_ground_program", counted("ground", evaluate.tuple_ground_program))
+    monkeypatch.setattr(evaluate, "_solve_tuple", counted("solve", evaluate._solve_tuple))
     monkeypatch.setattr(lpod, "assumption_candidates", counted("candidates", lpod.assumption_candidates))
     result = check_lpod(pi2)
     assert result.ok
     assert sum("preferred answer sets" in line for line in result.lines) == len(lpod.Criterion)
-    assert calls == {"ground": len(lpod2asp_base(pi2).tuple_space()), "candidates": 1}
+    assert calls == {"solve": len(lpod2asp_base(pi2).tuple_space()), "candidates": 1}
+
+
+def test_check_lpod_builds_the_base_translation_once(pi2, monkeypatch):
+    calls = []
+    base = translate.lpod2asp_base
+
+    def counted(p):
+        calls.append(p)
+        return base(p)
+
+    monkeypatch.setattr(translate, "lpod2asp_base", counted)
+    result = check_lpod(pi2)
+    assert result.ok
+    assert sum("preferred answer sets" in line for line in result.lines) == len(lpod.Criterion)
+    assert calls == [pi2]
 
 
 def test_check_lpod_on_atoms_with_arguments():

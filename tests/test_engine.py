@@ -9,12 +9,16 @@ from lpodc.engine import (
     GroundProgram,
     GroundRule,
     WeakConstraint,
+    _branch_order,
+    _rows,
     answer_sets,
     brute_force_answer_sets,
     is_answer_set,
+    is_stable,
     optimal_answer_sets,
     penalty_of,
     reduct,
+    solve_rows,
 )
 from lpodc.model import Atom
 from lpodc.randgen import random_ground_program
@@ -168,6 +172,48 @@ def test_search_matches_brute_force_with_aggregates():
     for _ in range(150):
         p = random_ground_program(rng, max_atoms=7, with_choice=True, with_aggregates=True)
         assert sets(answer_sets(p, cap=32)) == sets(brute_force_answer_sets(p))
+
+
+def test_row_core_matches_brute_force_in_any_atom_order():
+    # rows over a shuffled atom order, solved free and with one atom
+    # assumed true or false, against plain subset enumeration
+    for seed, aggregates in ((31, False), (37, True)):
+        rng = random.Random(seed)
+        for _ in range(120):
+            p = random_ground_program(rng, max_atoms=7, with_choice=True, with_aggregates=aggregates)
+            order = sorted(p.atoms, key=Atom.sort_key)
+            rng.shuffle(order)
+            rows = _rows(p, order)
+            expected = sets(brute_force_answer_sets(p))
+
+            def solved(t, f):
+                return {
+                    frozenset(str(a) for i, a in enumerate(order) if s >> i & 1)
+                    for s in solve_rows(rows, len(order), t, f)
+                }
+
+            assert solved(0, 0) == expected
+            if order:
+                name = str(order[0])
+                assert solved(1, 0) == {s for s in expected if name in s}
+                assert solved(0, 1) == {s for s in expected if name not in s}
+
+
+def test_leaf_check_rejects_a_positive_loop():
+    # {c}. a :- b. b :- a.  a and b only support each other
+    p = GroundProgram(
+        rules=(
+            GroundRule(head=ChoiceHead(atoms=(C,))),
+            GroundRule(head=A, pos=frozenset({B})),
+            GroundRule(head=B, pos=frozenset({A})),
+        )
+    )
+    assert sets(answer_sets(p)) == {frozenset(), frozenset({"c"})}
+    assert sets(brute_force_answer_sets(p)) == sets(answer_sets(p))
+    order = _branch_order(p, p.atoms)
+    rows = _rows(p, order)
+    loop = sum(1 << i for i, a in enumerate(order) if a in (A, B))
+    assert not is_stable(rows, loop)
 
 
 def _random_body(rng, atoms):

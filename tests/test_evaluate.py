@@ -5,7 +5,7 @@ import pytest
 
 from conftest import name_sets
 from lpodc import crp as crp_semantics
-from lpodc import lpod
+from lpodc import evaluate, lpod
 from lpodc.engine import GroundProgram, optimal_answer_sets
 from lpodc.evaluate import (
     _ground,
@@ -19,7 +19,7 @@ from lpodc.evaluate import (
     with_criterion,
 )
 from lpodc.lpod import Criterion
-from lpodc.model import Dialect, Term, canonicalize
+from lpodc.model import Atom, Dialect, Term, canonicalize
 from lpodc.parser import parse
 from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 from lpodc.translate import crp2asp, lpod2asp_base, lpod2asp_pref
@@ -282,8 +282,9 @@ def _chain(heads: tuple):
     return canonicalize(parse("\n".join(lines), Dialect.LPOD))
 
 
-def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
-    # the reference grounds every tuple-phase statement with all X_i fixed
+def _tuple_corpus(pi1, pi2, pi3, pi3p) -> list:
+    """140 documents: pi1 and pi2 base and under each criterion, pi3, pi3p,
+    three chains and seeded random programs of every generator."""
     docs = []
     for p in (pi1, pi2):
         docs.append(lpod2asp_base(p))
@@ -294,6 +295,12 @@ def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
     for _ in range(50):
         docs += [lpod2asp_base(random_lpod(rng)), crp2asp(random_crp(rng))]
     docs += [lpod2asp_base(random_lpod_args(rng)) for _ in range(25)]
+    return docs
+
+
+def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
+    # the reference grounds every tuple-phase statement with all X_i fixed
+    docs = _tuple_corpus(pi1, pi2, pi3, pi3p)
     tuples = 0
     for doc in docs:
         statements = _tuple_phase(doc)
@@ -304,7 +311,7 @@ def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
     assert len(docs) == 140 and tuples > 1500
 
 
-def test_solve_tuple_builds_the_atom_set_once(pi2, monkeypatch):
+def test_solve_tuple_builds_no_ground_program(pi2, monkeypatch):
     calls = []
     atoms = GroundProgram.atoms.fget
 
@@ -312,9 +319,42 @@ def test_solve_tuple_builds_the_atom_set_once(pi2, monkeypatch):
         calls.append(prog)
         return atoms(prog)
 
+    class Counted(GroundProgram):
+        def __init__(self, *args, **kwargs):
+            calls.append(args)
+            super().__init__(*args, **kwargs)
+
     monkeypatch.setattr(GroundProgram, "atoms", property(counted))
+    monkeypatch.setattr(evaluate, "GroundProgram", Counted)
     doc = lpod2asp_base(pi2)
+    models = [_solve_tuple(doc, xs) for xs in doc.tuple_space()]
+    assert calls == []
+    assert sum(map(len, models)) == 3
+
+
+def test_solve_tuple_equals_optimal_models_with_ap(pi1, pi2, pi3, pi3p):
+    # the reference solves the tuple's GroundProgram with weak constraints
+    tuples = models = 0
+    for doc in _tuple_corpus(pi1, pi2, pi3, pi3p):
+        for xs in doc.tuple_space():
+            best = optimal_answer_sets(tuple_ground_program(doc, xs), cap=None)
+            expected = [s for s in best if Atom("ap", xs) in s.atoms]
+            assert _solve_tuple(doc, xs) == expected, xs
+            tuples += 1
+            models += len(expected)
+    assert tuples > 1500 and models > 400
+
+
+def test_solve_tuple_rejects_unfounded_loops():
+    # p and q support only each other: no model of any tuple holds them
+    p = canonicalize(parse("a * b :- not c.\np :- q.\nq :- p.\nc :- p, a.", Dialect.LPOD))
+    doc = lpod2asp_base(p)
+    found = 0
     for xs in doc.tuple_space():
-        calls.clear()
-        _solve_tuple(doc, xs)
-        assert len(calls) == 1, xs
+        got = _solve_tuple(doc, xs)
+        for s in got:
+            assert not {a.predicate for a in s.atoms} & {"p", "q", "c"}, (xs, s)
+        best = optimal_answer_sets(tuple_ground_program(doc, xs), cap=None)
+        assert got == [s for s in best if Atom("ap", xs) in s.atoms]
+        found += len(got)
+    assert found == 2
