@@ -276,7 +276,7 @@ def cmd_check(args) -> int:
                 program = randgen.random_crp(rng)
             result = crosscheck.check_program(program, criteria=criteria, cap=cap)
             if not result.ok:
-                small = crosscheck.shrink_counterexample(program, cap=cap)
+                small = crosscheck.shrink_counterexample(program, criteria=criteria, cap=cap)
                 print("mismatch on random program %d (seed %d):" % (i, args.seed), file=sys.stderr)
                 for line in result.lines:
                     print("  " + line, file=sys.stderr)

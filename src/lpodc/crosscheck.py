@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
+
 from . import crp as crp_semantics
 from . import evaluate, lpod, translate
 from .engine import DEFAULT_ATOM_CAP, CapExceeded
@@ -39,7 +41,7 @@ def check_lpod(p: Program, criteria=None, cap: int = DEFAULT_ATOM_CAP) -> CheckR
     result.add(
         split_proj == assum_proj,
         "%d candidates from %d split programs == assumption-program candidates"
-        % (len(assum_proj), len(lpod.split_programs(p))),
+        % (len(assum_proj), prod(r.head_size() for r in p.nonregular_rules)),
     )
     if not p.nonregular_rules:
         result.add(True, "no ordered rules: every answer set is preferred, translation bypassed")

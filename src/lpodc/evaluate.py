@@ -11,18 +11,23 @@ templates are interned into dense ids, their rules become engine rows and
 the search runs with `ap(xs)` seeded true; `tuple_ground_program`, the
 same templates instantiated as a `GroundProgram`, is the reference. The
 cross-tuple layer (preference / dominance / candidate / preferred) is then
-evaluated as a stratified bottom-up fixpoint over the collected facts.
-Every LPOD criterion document shares the tuple layer of the base
-translation, so that layer is solved once (`eval_lpod` on the base
-document) and each criterion is a fixpoint over it (`with_criterion`). A
-monolithic grounder for the whole document is kept for consistency checks
-and debug dumps. Grounding and the fixpoint enumerate statement bodies
-with the same join-ordered walker, `_join`.
+evaluated bottom-up over the collected facts in dependency order: each
+statement runs once after every statement that defines a predicate it
+reads, and only a positive cycle would be iterated to its fixpoint. Each
+body is compiled once per evaluation into a plan in the join order of
+`_join`, the walker that grounding uses; its literals look rows up
+through indexes on their bound arguments, and counts of comparisons are
+computed directly. Every LPOD criterion document shares the tuple layer
+of the base translation, so that layer is solved once (`eval_lpod` on the
+base document) and each criterion is evaluated over it
+(`with_criterion`). A monolithic grounder for the whole document is kept
+for consistency checks and debug dumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import eq, ge, gt, le, lt, ne
 from typing import Optional
 
 from .engine import (
@@ -79,18 +84,7 @@ def _atom(lit: Lit, env, consts) -> Atom:
     return Atom(lit.pred, _args(lit, env, consts))
 
 
-def _cmp(op: str, lhs, rhs) -> bool:
-    if op == "=":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == ">":
-        return lhs > rhs
-    if op == "<=":
-        return lhs <= rhs
-    return lhs >= rhs
+_CMP = {"=": eq, "!=": ne, "<": lt, ">": gt, "<=": le, ">=": ge}
 
 
 def _expr_vars(e, out: set) -> None:
@@ -177,36 +171,19 @@ def _inputs(it, relational: bool, outer) -> frozenset:
     return frozenset(vs)
 
 
-def _match(lit: Lit, row: tuple, env: dict, consts) -> Optional[dict]:
-    """Unify literal args against one relation row; plain unbound variables
-    bind, everything else must evaluate equal."""
-    if len(lit.args) != len(row):
-        return None
-    new = env
-    for a, v in zip(lit.args, row):
-        if isinstance(a, Var) and a.name not in new:
-            if new is env:
-                new = dict(env)
-            new[a.name] = v
-        elif _eval(a, new, consts) != v:
-            return None
-    return new
-
-
-def _join(items, env: dict, consts, domains, outer=frozenset(), relations=None):
-    """Yield (binding, aggregates) for every way to satisfy the body items.
+def _join(items, env: dict, consts, domains, outer=frozenset()):
+    """Yield (binding, aggregates) for every way to ground the body items.
 
     Items run in join order: the next one is the first whose inputs are
     bound. `V = e`, `V = lo..hi` and `V = #count{...}` bind an unbound V;
     when no item can run, the first unbound input of the first pending item
     is enumerated from its declared domain, and after the last item so are
-    the `outer` variables still unbound. Without `relations` (grounding)
-    literals neither bind nor filter, and a count over non-constant
-    elements becomes an engine aggregate, in body order. With relations,
-    positive literals bind from rows and negative ones filter.
+    the `outer` variables still unbound. Literals neither bind nor filter
+    (the atom is built from the final binding), and a count over
+    non-constant elements becomes an engine aggregate, in body order. The
+    relational layer compiles the same order once per statement (`_plan`).
     """
-    inputs = [_inputs(it, relations is not None, outer) for it in items]
-    every = [frozenset(_item_vars(it, set())) for it in items]
+    inputs = [_inputs(it, False, outer) for it in items]
 
     def step(pending, env, aggs):
         for pos, k in enumerate(pending):
@@ -226,23 +203,11 @@ def _join(items, env: dict, consts, domains, outer=frozenset(), relations=None):
         it = items[k]
         rest = pending[:pos] + pending[pos + 1 :]
         if isinstance(it, Lit):
-            if relations is None:
-                # the atom is built from the final binding
-                yield from step(rest, env, aggs)
-                return
-            rows = relations.get(it.pred, ())
-            if it.neg or env.keys() >= every[k]:
-                if (_args(it, env, consts) in rows) != it.neg:
-                    yield from step(rest, env, aggs)
-                return
-            for row in rows:
-                env2 = _match(it, row, env, consts)
-                if env2 is not None:
-                    yield from step(rest, env2, aggs)
+            yield from step(rest, env, aggs)
         elif isinstance(it, Cmp):
             if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
                 yield from step(rest, {**env, it.lhs.name: _eval(it.rhs, env, consts)}, aggs)
-            elif _cmp(it.op, _eval(it.lhs, env, consts), _eval(it.rhs, env, consts)):
+            elif _CMP[it.op](_eval(it.lhs, env, consts), _eval(it.rhs, env, consts)):
                 yield from step(rest, env, aggs)
         elif isinstance(it, RangeBind):
             lo, hi = _eval(it.lo, env, consts), _eval(it.hi, env, consts)
@@ -253,7 +218,7 @@ def _join(items, env: dict, consts, domains, outer=frozenset(), relations=None):
             elif lo <= env[name] <= hi:
                 yield from step(rest, env, aggs)
         else:
-            atoms, n = _elements(it.elements, env, consts, domains, relations)
+            atoms, n = _elements(it.elements, env, consts, domains)
             if it.bind is not None:
                 if atoms:
                     raise ValueError("count assignment over non-constant elements")
@@ -273,22 +238,16 @@ def _join(items, env: dict, consts, domains, outer=frozenset(), relations=None):
     yield from step(tuple(range(len(items))), env, ())
 
 
-def _elements(elements, env, consts, domains, relations=None):
+def _elements(elements, env, consts, domains):
     """Aggregate or choice elements under one binding: the atoms of literal
-    elements (grounding), and how many instances hold. A comparison counts
-    once per satisfying binding, a literal once per distinct matching row."""
+    elements, and how many comparison instances hold."""
     atoms, n = set(), 0
     for el in elements:
-        found = set()
-        for env2, _ in _join(el.conds + (el.item,), env, consts, domains, relations=relations):
+        for env2, _ in _join(el.conds + (el.item,), env, consts, domains):
             if isinstance(el.item, Cmp):
                 n += 1
             else:
-                found.add(_atom(el.item, env2, consts))
-        if relations is None:
-            atoms |= found
-        else:
-            n += len(found)
+                atoms.add(_atom(el.item, env2, consts))
     return atoms, n
 
 
@@ -577,84 +536,206 @@ def shrink(atoms: frozenset, xs: tuple, sigma: frozenset) -> AnswerSet:
     return AnswerSet(atoms=frozenset(kept))
 
 
-# --- stratified relational layer ------------------------------------------------
+# --- relational layer ---------------------------------------------------------
 
 
-def _stratify(statements) -> list:
-    """Statements grouped into evaluation strata (negation/aggregates must
-    point strictly downward)."""
-    heads = {}
-    for s in statements:
-        if isinstance(s, FactPoolStmt):
-            heads.setdefault(s.pred, []).append(s)
-        elif isinstance(s, RuleStmt) and isinstance(s.head, Lit):
-            heads.setdefault(s.head.pred, []).append(s)
-    level = {pred: 0 for pred in heads}
-    for _ in range(len(heads) + 2):
-        changed = False
-        for s in statements:
-            if not isinstance(s, RuleStmt) or not isinstance(s.head, Lit):
-                continue
-            h = s.head.pred
-            for it in s.body:
-                if isinstance(it, Lit) and it.pred in level:
-                    need = level[it.pred] + (1 if it.neg else 0)
-                    if level[h] < need:
-                        level[h] = need
-                        changed = True
-                elif isinstance(it, CountExpr):
-                    for el in it.elements:
-                        if isinstance(el.item, Lit) and el.item.pred in level:
-                            need = level[el.item.pred] + 1
-                            if level[h] < need:
-                                level[h] = need
-                                changed = True
-        if not changed:
-            break
-    else:
-        raise ValueError("preference layer is not stratified")
-    strata: dict = {}
-    for s in statements:
-        if isinstance(s, FactPoolStmt):
-            strata.setdefault(0, []).append(s)
-        elif isinstance(s, RuleStmt) and isinstance(s.head, Lit):
-            strata.setdefault(level[s.head.pred], []).append(s)
+class _Relations:
+    """The rows of each predicate, with indexes built on first use: per
+    (predicate, arity, bound positions), the rows by their values there."""
+
+    def __init__(self, seeds: dict):
+        self.rows = {pred: set(rows) for pred, rows in seeds.items()}
+        self.indexes = {}
+
+    def index(self, spec) -> dict:
+        index = self.indexes.get(spec)
+        if index is None:
+            pred, arity, positions = spec
+            index = self.indexes[spec] = {}
+            for row in self.rows.get(pred, ()):
+                if len(row) == arity:
+                    index.setdefault(tuple([row[i] for i in positions]), []).append(row)
+        return index
+
+
+def _plan(items, bound, outer, domains, consts, table, out):
+    """Compile body items into a function of a binding of the variables
+    `bound` that calls `out` once per way to satisfy them over `table`.
+
+    The items run in `_join`'s order, which depends only on the variables
+    bound on entry, so it is fixed here once. A positive literal with
+    unbound plain variables binds them from its rows, looked up on its
+    bound positions; any other literal tests membership.
+    """
+    inputs = [_inputs(it, True, outer) for it in items]
+    pending, bound, steps = list(range(len(items))), set(bound), []
+    while True:
+        k = next((k for k in pending if inputs[k] <= bound), None)
+        if k is None:
+            free = (inputs[pending[0]] if pending else outer) - bound
+            if not free:
+                break
+            it = min(free)
+            if it not in domains:
+                raise KeyError("no domain for variable %s" % it)
+            steps.append((it, domains[it]))
+            bound.add(it)
+            continue
+        pending.remove(k)
+        it = items[k]
+        if isinstance(it, CountExpr):
+            steps.append((it, _count(it.elements, bound, domains, consts, table)))
+        elif isinstance(it, Lit) and not it.neg and not _item_vars(it, set()) <= bound:
+            unbound, same = {}, []
+            for i, a in enumerate(it.args):
+                if isinstance(a, Var) and a.name not in bound:
+                    if a.name in unbound:
+                        same.append((i, unbound[a.name]))
+                    unbound.setdefault(a.name, i)
+            keyed = tuple(i for i, a in enumerate(it.args) if not (isinstance(a, Var) and a.name in unbound))
+            spec = (it.pred, len(it.args), keyed)
+            steps.append((it, (spec, [it.args[i] for i in keyed], same, tuple(unbound.items()))))
         else:
-            strata.setdefault(max(level.values(), default=0) + 1, []).append(s)
-    return [strata[k] for k in sorted(strata)]
+            steps.append((it, None))
+        _item_vars(it, bound)
+    last = len(steps)
+
+    def run(i, env):
+        if i == last:
+            out(env)
+            return
+        it, how = steps[i]
+        if isinstance(it, str):
+            for value in how:
+                run(i + 1, {**env, it: value})
+        elif isinstance(it, Lit):
+            if how is None:
+                if (_args(it, env, consts) in table.rows.get(it.pred, ())) != it.neg:
+                    run(i + 1, env)
+                return
+            spec, keyed, same, binds = how
+            for row in table.index(spec).get(tuple([_eval(a, env, consts) for a in keyed]), ()):
+                if all(row[j] == row[k] for j, k in same):
+                    env2 = env.copy()
+                    for name, j in binds:
+                        env2[name] = row[j]
+                    run(i + 1, env2)
+        elif isinstance(it, Cmp):
+            rhs = _eval(it.rhs, env, consts)
+            if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
+                run(i + 1, {**env, it.lhs.name: rhs})
+            elif _CMP[it.op](_eval(it.lhs, env, consts), rhs):
+                run(i + 1, env)
+        elif isinstance(it, RangeBind):
+            lo, hi, name = _eval(it.lo, env, consts), _eval(it.hi, env, consts), it.var.name
+            if name not in env:
+                for value in range(lo, hi + 1):
+                    run(i + 1, {**env, name: value})
+            elif lo <= env[name] <= hi:
+                run(i + 1, env)
+        else:
+            n = how(env)
+            if it.bind is not None:
+                if it.bind.name not in env:
+                    run(i + 1, {**env, it.bind.name: n})
+                elif env[it.bind.name] == n:
+                    run(i + 1, env)
+            else:
+                lower, upper = _bound(it.lower, env, consts), _bound(it.upper, env, consts)
+                if (lower is None or n >= lower) and (upper is None or n <= upper):
+                    run(i + 1, env)
+
+    return lambda env: run(0, env)
 
 
-def _eval_rule_join(stmt: RuleStmt, relations: dict, consts: dict) -> set:
-    """Derive new head rows by joining the body against current relations."""
-    joined = _join(stmt.body, {}, consts, dict(stmt.var_domains), _outer_vars(stmt), relations)
-    return {_args(stmt.head, env, consts) for env, _ in joined}
+def _count(elements, bound, domains, consts, table):
+    """Count elements as a function of a binding of the variables `bound`:
+    one per satisfying binding of a comparison, one per distinct matching
+    atom of a literal. Unconditional comparisons of bound variables are
+    evaluated directly."""
+    if all(isinstance(el.item, Cmp) and not el.conds and _item_vars(el.item, set()) <= bound for el in elements):
+        cmps = [el.item for el in elements]
+        return lambda env: sum([_CMP[c.op](_eval(c.lhs, env, consts), _eval(c.rhs, env, consts)) for c in cmps])
+    parts = []
+    for el in elements:
+        if isinstance(el.item, Lit):
+            hits = set()
+            out = lambda env, hits=hits, lit=el.item: hits.add(_args(lit, env, consts))
+        else:
+            hits = []
+            out = hits.append
+        parts.append((hits, _plan(el.conds + (el.item,), bound, frozenset(), domains, consts, table, out)))
+
+    def count(env):
+        n = 0
+        for hits, run in parts:
+            hits.clear()
+            run(env)
+            n += len(hits)
+        return n
+
+    return count
+
+
+def _components(statements) -> list:
+    """The statements grouped by the strongly connected components of their
+    head predicates, in dependency order, each with whether it is cyclic.
+    Edges run from body and count element literals to heads; a negative or
+    count edge inside a component makes the layer unstratified."""
+
+    def head(s):
+        return s.pred if isinstance(s, FactPoolStmt) else s.head.pred
+
+    edges = {}
+    for s in statements:
+        if not isinstance(s, FactPoolStmt) and not isinstance(getattr(s, "head", None), Lit):
+            raise ValueError("cross-tuple statements must define a predicate")
+        e = edges.setdefault(head(s), set())
+        for it in getattr(s, "body", ()):
+            if isinstance(it, Lit):
+                e.add((it.pred, not it.neg))
+            elif isinstance(it, CountExpr):
+                e.update((x.pred, False) for el in it.elements for x in (el.item,) + el.conds if isinstance(x, Lit))
+    reach = {p: {q for q, _ in e if q in edges} for p, e in edges.items()}
+    for k in reach:
+        for p in reach:
+            if k in reach[p]:
+                reach[p] |= reach[k]
+    comp = {p: {q for q in reach[p] if p in reach[q]} | {p} for p in reach}
+    if any(not positive and q in comp[p] for p, e in edges.items() for q, positive in e):
+        raise ValueError("preference layer is not stratified")
+    out, done = [], set()
+    # a predicate reaches more outside its component than any it depends on
+    for p in sorted(reach, key=lambda p: len(reach[p] - comp[p])):
+        if p not in done:
+            done |= comp[p]
+            out.append(([s for s in statements if head(s) in comp[p]], p in reach[p]))
+    return out
 
 
 def evaluate_global_layer(doc: AspDocument, seed_relations: dict) -> dict:
-    """Bottom-up fixpoint over the cross-tuple statements."""
+    """The cross-tuple statements over the seed relations, one component
+    of `_components` at a time: each statement's body is compiled once and
+    run once, and only a cyclic component repeats until nothing is new."""
     consts = dict(doc.constants)
-    relations = {pred: set(rows) for pred, rows in seed_relations.items()}
-    global_stmts = [s for s in doc.statements if s.phase == "global"]
-    for stratum in _stratify(global_stmts):
-        changed = True
-        while changed:
-            changed = False
-            for s in stratum:
-                if isinstance(s, FactPoolStmt):
-                    rows = relations.setdefault(s.pred, set())
-                    for v in s.values:
-                        if (v,) not in rows:
-                            rows.add((v,))
-                            changed = True
-                    continue
-                if not isinstance(s.head, Lit):
-                    raise ValueError("cross-tuple statements must define a predicate")
-                rows = relations.setdefault(s.head.pred, set())
-                for args in _eval_rule_join(s, relations, consts):
-                    if args not in rows:
-                        rows.add(args)
-                        changed = True
-    return relations
+    table = _Relations(seed_relations)
+    for stmts, cyclic in _components([s for s in doc.statements if s.phase == "global"]):
+        plans = []
+        for s in stmts:
+            if isinstance(s, FactPoolStmt):
+                table.rows.setdefault(s.pred, set()).update((v,) for v in s.values)
+                continue
+            rows = table.rows.setdefault(s.head.pred, set())
+            out = lambda env, head=s.head, rows=rows: rows.add(_args(head, env, consts))
+            plans.append(_plan(s.body, (), _outer_vars(s), dict(s.var_domains), consts, table, out))
+        while True:
+            size = sum(map(len, table.rows.values()))
+            for run in plans:
+                run({})
+            if not cyclic or sum(map(len, table.rows.values())) == size:
+                break
+            table.indexes.clear()
+    return table.rows
 
 
 # --- splitting evaluation -------------------------------------------------------
@@ -772,7 +853,7 @@ def with_criterion(ev: EvaluatedTranslation, doc: AspDocument) -> EvaluatedTrans
     """The solved tuple layer `ev` under the criterion layer of `doc`.
 
     `doc` must translate the same LPOD program as `ev` (same signature and
-    tuple space); only the `ap` and `degree` rows of `ev` seed the fixpoint.
+    tuple space); only the `ap` and `degree` rows of `ev` seed the layer.
     """
     if doc.dialect is not Dialect.LPOD or ev.dialect is not Dialect.LPOD:
         raise ValueError("criterion layers are defined for lpod translations")

@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 from conftest import PROGRAMS
+from lpodc import crosscheck
 from lpodc.cli import main
+from lpodc.lpod import Criterion
 
 LPODC = [sys.executable, "-m", "lpodc.cli"]
 
@@ -117,6 +119,24 @@ def test_check_random_smoke():
     out = run(["check", "--random", "5", "--seed", "7", "--dialect", "lpod"])
     assert out.returncode == 0
     assert "OK: 5 random lpod programs" in out.stdout
+
+
+def test_check_random_shrinks_under_the_chosen_criterion(monkeypatch, capsys):
+    shrunk = []
+
+    def failing(program, criteria=None, cap=None):
+        return crosscheck.CheckResult(ok=False, lines=["MISMATCH: injected"])
+
+    def shrink(program, criteria=None, cap=None):
+        shrunk.append(criteria)
+        return program
+
+    monkeypatch.setattr(crosscheck, "check_program", failing)
+    monkeypatch.setattr(crosscheck, "shrink_counterexample", shrink)
+    rc = main(["check", "--random", "3", "--seed", "7", "--dialect", "lpod", "--criterion", "pareto"])
+    assert rc == 4
+    assert "minimized counterexample:" in capsys.readouterr().err
+    assert shrunk == [[Criterion.PARETO]]
 
 
 def test_cap_exceeded_exit_3():

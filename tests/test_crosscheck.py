@@ -57,6 +57,21 @@ def test_check_lpod_builds_the_base_translation_once(pi2, monkeypatch):
     assert calls == [pi2]
 
 
+def test_check_lpod_builds_the_split_programs_once(pi2, monkeypatch):
+    calls = []
+    split = lpod.split_programs
+
+    def counted(p):
+        calls.append(p)
+        return split(p)
+
+    monkeypatch.setattr(lpod, "split_programs", counted)
+    result = check_lpod(pi2)
+    assert result.ok
+    assert result.lines[0] == "OK: 3 candidates from 12 split programs == assumption-program candidates"
+    assert calls == [pi2]
+
+
 def test_check_lpod_on_atoms_with_arguments():
     rng = random.Random(67)
     for _ in range(20):

@@ -13,6 +13,7 @@ from lpodc.evaluate import (
     dump_ground,
     eval_crp,
     eval_lpod,
+    evaluate_global_layer,
     ground_document,
     shrink,
     tuple_ground_program,
@@ -22,7 +23,18 @@ from lpodc.lpod import Criterion
 from lpodc.model import Atom, Dialect, Term, canonicalize
 from lpodc.parser import parse
 from lpodc.randgen import random_crp, random_lpod, random_lpod_args
-from lpodc.translate import crp2asp, lpod2asp_base, lpod2asp_pref
+from lpodc.translate import (
+    AggElem,
+    AspDocument,
+    CountExpr,
+    Lit,
+    RuleStmt,
+    Var,
+    crp2asp,
+    lpod2asp_base,
+    lpod2asp_criterion,
+    lpod2asp_pref,
+)
 
 
 def test_eval_pi1_penalty_sum(pi1):
@@ -358,3 +370,143 @@ def test_solve_tuple_rejects_unfounded_loops():
         assert got == [s for s in best if Atom("ap", xs) in s.atoms]
         found += len(got)
     assert found == 2
+
+
+GLOBAL = Path(__file__).resolve().parent / "global"
+
+
+def _render_relations(relations: dict) -> str:
+    """A `% pred count` line per relation, followed by its rows as sorted atoms."""
+    lines = []
+    for pred in sorted(relations):
+        lines.append("%% %s %d" % (pred, len(relations[pred])))
+        lines += sorted(str(Atom(pred, row)) for row in relations[pred])
+    return "\n".join(lines) + "\n"
+
+
+def test_global_layer_matches_goldens(pi1, pi2, pi3, pi3p):
+    # every row of every relation is pinned, whatever evaluates the layer
+    names = set()
+    for name, p in (("pi1", pi1), ("pi2", pi2), ("chain332", _chain((3, 3, 2)))):
+        tuples = eval_lpod(lpod2asp_base(p))
+        for criterion in Criterion:
+            name_c = "%s_%s" % (name, criterion.value)
+            relations = with_criterion(tuples, lpod2asp_pref(p, criterion)).relations
+            assert _render_relations(relations) == (GLOBAL / (name_c + ".txt")).read_text(), name_c
+            names.add(name_c)
+    for name, p in (("pi3", pi3), ("pi3p", pi3p)):
+        relations = eval_crp(crp2asp(p)).relations
+        assert _render_relations(relations) == (GLOBAL / (name + ".txt")).read_text(), name
+        names.add(name)
+    assert names == {path.stem for path in GLOBAL.glob("*.txt")}
+
+
+def _small_reference_programs() -> list:
+    """Seeded random programs small enough to ground and solve whole: 12
+    LPOD programs with at most 9 tuples, 12 CR-Prolog2 ones with at most 8."""
+    rng = random.Random(5)
+    lpods, crps = [], []
+    while len(lpods) < 12 or len(crps) < 12:
+        p = random_lpod(rng, max_atoms=3, max_ordered=2)
+        if len(lpods) < 12 and p.nonregular_rules and len(lpod2asp_base(p).tuple_space()) <= 9:
+            lpods.append(p)
+        q = random_crp(rng, max_atoms=3, max_cr=1)
+        if len(crps) < 12 and len(crp2asp(q).tuple_space()) <= 8:
+            crps.append(q)
+    return lpods + crps
+
+
+def test_global_layer_equals_the_monolithic_optimum(pi1, pi2, pi3, pi3p):
+    # every relation of the splitting evaluation is the set of atoms of its
+    # predicate in each optimum of the whole document, ground and solved at
+    # once as in criterion 9; pi2 under inclusion is left out, as that
+    # monolithic solve takes about a minute
+    small = _small_reference_programs()
+    runs = [(pi1, tuple(Criterion)), (pi2, (Criterion.CARDINALITY, Criterion.PARETO, Criterion.PENALTY_SUM))]
+    runs += [(p, tuple(Criterion)) for p in small if p.dialect is Dialect.LPOD]
+    cases = []
+    for p, criteria in runs:
+        base = lpod2asp_base(p)
+        tuples = eval_lpod(base)
+        for criterion in criteria:
+            doc = lpod2asp_criterion(base, criterion)
+            cases.append((doc, with_criterion(tuples, doc)))
+    for p in [pi3, pi3p] + [p for p in small if p.dialect is Dialect.CRP2]:
+        doc = crp2asp(p)
+        cases.append((doc, eval_crp(doc)))
+    for doc, ev in cases:
+        best = optimal_answer_sets(ground_document(doc), cap=None)
+        assert best
+        for s in best:
+            for pred, rows in ev.relations.items():
+                assert {a.args for a in s.atoms if a.predicate == pred} == rows, (doc.criterion, pred)
+    assert len(cases) == 7 + 2 + 12 * 4 + 12
+
+
+def _global_document(*statements) -> AspDocument:
+    return AspDocument(
+        dialect=Dialect.LPOD, m=0, heads=(), domains=(), sigma=frozenset(), statements=statements
+    )
+
+
+def test_global_layer_iterates_a_positive_cycle_to_its_fixpoint():
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    doc = _global_document(
+        # read before the cycle that defines path is evaluated
+        RuleStmt(Lit("acyclic", (x,)), (Lit("node", (x,)), Lit("path", (x, x), neg=True)), phase="global"),
+        RuleStmt(Lit("cyclic", (x,)), (Lit("path", (x, x)),), phase="global"),
+        RuleStmt(Lit("path", (x, z)), (Lit("path", (x, y)), Lit("edge", (y, z))), phase="global"),
+        RuleStmt(Lit("path", (x, y)), (Lit("edge", (x, y)),), phase="global"),
+        # a cycle through two predicates
+        RuleStmt(Lit("odd", (x, y)), (Lit("edge", (x, y)),), phase="global"),
+        RuleStmt(Lit("even", (x, z)), (Lit("odd", (x, y)), Lit("edge", (y, z))), phase="global"),
+        RuleStmt(Lit("odd", (x, z)), (Lit("even", (x, y)), Lit("edge", (y, z))), phase="global"),
+    )
+    chain = {(1, 2), (2, 3), (3, 4), (4, 5)}
+    rel = evaluate_global_layer(doc, {"edge": chain | {(5, 3)}, "node": {(n,) for n in range(1, 6)}})
+    assert rel["path"] == {(1, b) for b in range(2, 6)} | {(2, b) for b in range(3, 6)} | {
+        (a, b) for a in range(3, 6) for b in range(3, 6)
+    }
+    assert rel["acyclic"] == {(1,), (2,)}
+    assert rel["cyclic"] == {(3,), (4,), (5,)}
+    rel = evaluate_global_layer(doc, {"edge": chain, "node": set()})
+    assert rel["odd"] == {(a, b) for a in range(1, 6) for b in range(a + 1, 6) if (b - a) % 2}
+    assert rel["even"] == {(a, b) for a in range(1, 6) for b in range(a + 1, 6) if not (b - a) % 2}
+
+
+def test_global_layer_rejects_negation_and_counts_inside_a_cycle():
+    x, y = Var("X"), Var("Y")
+    negative = RuleStmt(Lit("p", (x,)), (Lit("q", (x,)), Lit("p", (x,), neg=True)), phase="global")
+    count = RuleStmt(
+        Lit("p", (x,)),
+        (Lit("q", (x,)), CountExpr(elements=(AggElem(Lit("r", (y,))),), upper=0)),
+        phase="global",
+        var_domains=(("Y", (1, 2)),),
+    )
+    back = RuleStmt(Lit("r", (x,)), (Lit("p", (x,)),), phase="global")
+    for statements in ((negative,), (count, back)):
+        with pytest.raises(ValueError, match="not stratified"):
+            evaluate_global_layer(_global_document(*statements), {"q": {(1,)}})
+
+
+def test_each_global_rule_is_joined_once(pi2, monkeypatch):
+    runs = []
+    plan = evaluate._plan
+
+    def counted(items, *args):
+        run = plan(items, *args)
+
+        def counted_run(env):
+            runs.append(items)
+            return run(env)
+
+        return counted_run
+
+    monkeypatch.setattr(evaluate, "_plan", counted)
+    tuples = eval_lpod(lpod2asp_base(pi2))
+    for criterion in Criterion:
+        doc = lpod2asp_pref(pi2, criterion)
+        rules = [s for s in doc.statements if s.phase == "global" and isinstance(s, RuleStmt)]
+        runs.clear()
+        with_criterion(tuples, doc)
+        assert [sum(body is s.body for body in runs) for s in rules] == [1] * len(rules), criterion
