@@ -262,6 +262,8 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     cap = _resolve_cap(args)
+    if args.random is not None and args.random < 0:
+        raise InputError("--random must not be negative, got %d" % args.random)
     if args.random is not None:
         rng = random.Random(args.seed)
         dialect = _resolve_dialect(args)

@@ -278,6 +278,9 @@ def validate_program(p: Program) -> ValidationReport:
                 bad("reserved-predicate", "reserved predicate %s" % hit)
             if not IDENT_RE.match(atom.predicate):
                 bad("bad-predicate", "predicate %r is not a valid identifier" % atom.predicate)
+            if p.dialect is Dialect.LPOD and "maxdegree" in atom.args:
+                # the criterion layers declare #const maxdegree, which would rename it
+                bad("reserved-constant", "constant maxdegree is reserved in lpod programs: %s" % atom)
     if p.prefer_facts and p.dialect is not Dialect.CRP2:
         bad("prefer-dialect", "prefer facts are only allowed in the crp2 dialect")
     preferred_to: dict = {}

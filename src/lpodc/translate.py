@@ -9,12 +9,19 @@ dominance, candidate and fewer-applied layers.
 Documents are structured: each statement is a small AST over schematic
 variables with finite declared domains, so the same object can be emitted
 as solver-input text, grounded per assumption tuple, or evaluated as a
-stratified layer over collected facts.
+stratified layer over collected facts. The fixed-shape rules are written as
+the text the emitter prints, one line of ASP each as in the paper, with the
+m-ary lists (X1,...,Xm, D1,...,Dm, ...) formatted in; `parse_emitted`'s
+reader turns each distinct text into its AST once, and the tag, phase and
+variable domains are attached beside it. Statements that carry input atoms
+are built structurally, so an input constant never passes through text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
@@ -35,6 +42,9 @@ class Var:
 
 @dataclass(frozen=True)
 class Fn:
+    """Compound term with at least one argument; as in ASP, a 0-ary term
+    is its constant (the string name)."""
+
     name: str
     args: tuple
 
@@ -49,13 +59,6 @@ class BinOp:
     op: str  # "+" | "-"
     lhs: object
     rhs: object
-
-
-def add_chain(parts):
-    expr = parts[0]
-    for p in parts[1:]:
-        expr = BinOp("+", expr, p)
-    return expr
 
 
 @dataclass(frozen=True)
@@ -139,32 +142,24 @@ class AspDocument:
     constants: tuple = ()  # (name, value) pairs
     criterion: Optional[str] = None
     # ground templates of the tuple-phase statements, built by
-    # evaluate.tuple_ground_program on first use and freed with the document
+    # evaluate._templates on first use (and solved by evaluate._solve_tuple),
+    # freed with the document
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tuple_space(self) -> tuple:
         return tuple(product(*self.domains))
-
-    def ap_terms(self) -> tuple:
-        return tuple(Term("ap", t) for t in self.tuple_space())
 
 
 # --- rendering ----------------------------------------------------------------
 
 
 def render_expr(e) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, ConstRef):
+    if isinstance(e, (Var, ConstRef)):
         return e.name
     if isinstance(e, BinOp):
         return "%s%s%s" % (render_expr(e.lhs), e.op, render_expr(e.rhs))
     if isinstance(e, Fn):
-        if not e.args:
-            return e.name
         return "%s(%s)" % (e.name, ",".join(render_expr(a) for a in e.args))
-    if isinstance(e, Term):
-        return str(e)
     return str(e)
 
 
@@ -228,12 +223,50 @@ def emit(d: AspDocument) -> str:
 # --- shared construction helpers ----------------------------------------------
 
 
-def _xvars(m: int) -> tuple:
-    return tuple(Var("X%d" % i) for i in range(1, m + 1))
+@lru_cache(maxsize=1024)
+def _read(text: str) -> tuple:
+    """The one statement written as `text`, read once per distinct text, as
+    its class and the fields before tag, phase and var_domains (the last
+    three fields of every statement class); `maxdegree` reads as the
+    constant the criterion layers declare."""
+    reader = _DocReader(text)
+    reader.consts.add("maxdegree")
+    (stmt,) = reader.parse()[1]
+    return type(stmt), tuple(getattr(stmt, f.name) for f in fields(stmt)[:-3])
 
 
-def _yvars(m: int) -> tuple:
-    return tuple(Var("Y%d" % i) for i in range(1, m + 1))
+def _rule(text: str, tag: str, var_domains: tuple, phase: str = "tuple"):
+    cls, args = _read(text)
+    return cls(*args, tag, phase, var_domains)
+
+
+def _names(prefix: str, m: int) -> list:
+    return ["%s%d" % (prefix, i) for i in range(1, m + 1)]
+
+
+def _call(name: str, args) -> str:
+    """name(a1,...,ak), or for k = 0 the constant name: ASP reads a 0-ary
+    compound as its constant, so with m = 0 the ap term is the constant ap."""
+    return "%s(%s)" % (name, ",".join(args)) if args else name
+
+
+def _domains(names, values) -> tuple:
+    return tuple((n, tuple(v)) for n, v in zip(names, values))
+
+
+def _ap_terms(domains) -> tuple:
+    """The ap(x1,...,xm) terms of a tuple space, in the form `_call` writes."""
+    return tuple(Term("ap", t) if t else "ap" for t in product(*domains))
+
+
+def _assumption_statements(xs: list, domains) -> list:
+    """{ap(X1,...,Xm): X1=lo..hi, ...}. and :~ ap(X1,...,Xm). [-1, X1,...,Xm]"""
+    ap, xdom = _call("ap", xs), _domains(xs, domains)
+    ranges = ", ".join("%s=%d..%d" % (x, d[0], d[-1]) for x, d in zip(xs, domains))
+    return [
+        _rule("{%s%s}." % (ap, ranges and ": " + ranges), "assumption-choice", xdom),
+        _rule(":~ %s. [-1%s]" % (ap, "".join(", " + x for x in xs)), "assumption-weight", xdom),
+    ]
 
 
 def _extend_atom(a: Atom, xvars: tuple) -> Lit:
@@ -244,10 +277,6 @@ def _extend_body(body, xvars: tuple) -> tuple:
     return tuple(
         Lit(l.atom.predicate, tuple(l.atom.args) + xvars, neg=l.negated) for l in body
     )
-
-
-def _ap_lit(xvars: tuple) -> Lit:
-    return Lit("ap", xvars)
 
 
 def _compress_choice_elements(atoms, xvars: tuple) -> tuple:
@@ -282,7 +311,7 @@ def _compress_choice_elements(atoms, xvars: tuple) -> tuple:
 
 
 def _regular_statements(p: Program, xvars: tuple, domains) -> list:
-    ap = _ap_lit(xvars)
+    ap = Lit("ap", xvars)
     out = []
     for r in p.regular_rules:
         body = (ap,) + _extend_body(r.body, xvars)
@@ -295,16 +324,6 @@ def _regular_statements(p: Program, xvars: tuple, domains) -> list:
             head = None
         out.append(RuleStmt(head=head, body=body, tag="regular-rule", var_domains=domains))
     return out
-
-
-def _xdomain_pairs(m: int, domains) -> tuple:
-    return tuple(("X%d" % i, tuple(domains[i - 1])) for i in range(1, m + 1))
-
-
-def _degree_vars(prefix: str, heads: tuple):
-    """Degree variables <prefix>1..<prefix>m and their domains 1..n_i."""
-    dvars = tuple(Var("%s%d" % (prefix, i)) for i in range(1, len(heads) + 1))
-    return dvars, tuple((d.name, tuple(range(1, n + 1))) for d, n in zip(dvars, heads))
 
 
 # --- lpod2asp -------------------------------------------------------------------
@@ -321,120 +340,38 @@ def lpod2asp_base(p: Program) -> AspDocument:
         raise DegenerateProgram("no ordered rules to compile")
     heads = tuple(r.head_size() for r in ordered)
     domains = p.assumption_domains()
-    xvars = _xvars(m)
-    xdomains = _xdomain_pairs(m, domains)
-    ap = _ap_lit(xvars)
+    xs, ds = _names("X", m), _names("D", m)
+    X, ap = ",".join(xs), _call("ap", xs)
+    xvars = tuple(Var(x) for x in xs)
+    xdom = _domains(xs, domains)
 
-    stmts = []
-    stmts.append(
-        RuleStmt(
-            head=ChoiceExpr(
-                elements=(
-                    AggElem(
-                        ap,
-                        conds=tuple(
-                            RangeBind(x, 0, n) for x, n in zip(xvars, heads)
-                        ),
-                    ),
-                )
-            ),
-            tag="assumption-choice",
-            var_domains=xdomains,
-        )
-    )
-    stmts.append(
-        WeakStmt(body=(ap,), weight=-1, terms=xvars, tag="assumption-weight", var_domains=xdomains)
-    )
-    stmts.extend(_regular_statements(p, xvars, xdomains))
-
+    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, xdom)
     for r in ordered:
         i = r.index
         xi = xvars[i - 1]
         aux = Lit("body_%d" % i, xvars)
-        stmts.append(
-            RuleStmt(
-                head=aux,
-                body=(ap,) + _extend_body(r.body, xvars),
-                tag="body-definition",
-                var_domains=xdomains,
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=None,
-                body=(ap, Cmp("=", xi, 0), aux),
-                tag="body-off-constraint",
-                var_domains=xdomains,
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=None,
-                body=(ap, Cmp(">", xi, 0), Lit(aux.pred, aux.args, neg=True)),
-                tag="body-on-constraint",
-                var_domains=xdomains,
-            )
-        )
+        body = (Lit("ap", xvars),) + _extend_body(r.body, xvars)
+        stmts.append(RuleStmt(head=aux, body=body, tag="body-definition", var_domains=xdom))
+        stmts.append(_rule(":- %s, X%d=0, body_%d(%s)." % (ap, i, i, X), "body-off-constraint", xdom))
+        stmts.append(_rule(":- %s, X%d>0, not body_%d(%s)." % (ap, i, i, X), "body-on-constraint", xdom))
         for j, cj in enumerate(r.head_atoms, start=1):
-            stmts.append(
-                RuleStmt(
-                    head=_extend_atom(cj, xvars),
-                    body=(aux, Cmp("=", xi, j)),
-                    tag="head-option",
-                    var_domains=xdomains,
-                )
-            )
+            head, body = _extend_atom(cj, xvars), (aux, Cmp("=", xi, j))
+            stmts.append(RuleStmt(head=head, body=body, tag="head-option", var_domains=xdom))
         for j, cj in enumerate(r.head_atoms, start=1):
             earlier = tuple(
                 Lit(c.predicate, tuple(c.args) + xvars, neg=True)
                 for c in r.head_atoms[: j - 1]
             )
-            stmts.append(
-                RuleStmt(
-                    head=None,
-                    body=(aux, Cmp("!=", xi, j)) + earlier + (_extend_atom(cj, xvars),),
-                    tag="first-true-guard",
-                    var_domains=xdomains,
-                )
-            )
+            body = (aux, Cmp("!=", xi, j)) + earlier + (_extend_atom(cj, xvars),)
+            stmts.append(RuleStmt(head=None, body=body, tag="first-true-guard", var_domains=xdom))
 
-    dvars, ddomains = _degree_vars("D", heads)
-    degree = Lit("degree", (Fn("ap", xvars),) + dvars)
-    stmts.append(
-        RuleStmt(
-            head=ChoiceExpr(
-                elements=(
-                    AggElem(
-                        degree,
-                        conds=tuple(RangeBind(d, 1, n) for d, n in zip(dvars, heads)),
-                    ),
-                ),
-                lower=1,
-                upper=1,
-            ),
-            body=(ap,),
-            tag="degree-choice",
-            var_domains=xdomains,
-        )
-    )
-    for i in range(1, m + 1):
-        xi, di = xvars[i - 1], dvars[i - 1]
-        stmts.append(
-            RuleStmt(
-                head=None,
-                body=(degree, Cmp("=", xi, 0), Cmp("!=", di, 1)),
-                tag="degree-from-zero",
-                var_domains=xdomains + ddomains,
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=None,
-                body=(degree, Cmp(">", xi, 0), Cmp("!=", di, xi)),
-                tag="degree-from-positive",
-                var_domains=xdomains + ddomains,
-            )
-        )
+    degree = "degree(%s,%s)" % (ap, ",".join(ds))
+    ranges = ", ".join("%s=1..%d" % (d, n) for d, n in zip(ds, heads))
+    stmts.append(_rule("1{%s: %s}1 :- %s." % (degree, ranges, ap), "degree-choice", xdom))
+    ddom = xdom + _domains(ds, (range(1, n + 1) for n in heads))
+    for x, d in zip(xs, ds):
+        stmts.append(_rule(":- %s, %s=0, %s!=1." % (degree, x, d), "degree-from-zero", ddom))
+        stmts.append(_rule(":- %s, %s>0, %s!=%s." % (degree, x, d, x), "degree-from-positive", ddom))
 
     return AspDocument(
         dialect=Dialect.LPOD,
@@ -444,29 +381,6 @@ def lpod2asp_base(p: Program) -> AspDocument:
         sigma=p.signature,
         statements=tuple(stmts),
     )
-
-
-def _pref_common_tail(m: int, domains, ap_domain) -> list:
-    """prf chaining and the pAS rule shared by cardinality and inclusion."""
-    x, y = Var("X"), Var("Y")
-    p1, p2 = Var("P1"), Var("P2")
-    prf = RuleStmt(
-        head=Lit("prf", (p1, p2)),
-        body=(
-            RangeBind(x, 0, BinOp("-", ConstRef("maxdegree"), 1)),
-            Lit("prf2degree", (p1, p2, BinOp("+", x, 1))),
-            CountExpr(
-                elements=(
-                    AggElem(Lit("equ2degree", (p1, p2, y)), conds=(RangeBind(y, 1, x),)),
-                ),
-                lower=x,
-            ),
-        ),
-        tag="preference",
-        phase="global",
-        var_domains=(("P1", ap_domain), ("P2", ap_domain)),
-    )
-    return [prf, _pas_statement(m, domains, ap_domain)]
 
 
 def lpod2asp_pref(p: Program, criterion) -> AspDocument:
@@ -480,194 +394,94 @@ def lpod2asp_criterion(base: AspDocument, criterion) -> AspDocument:
 
     if base.dialect is not Dialect.LPOD or base.criterion is not None:
         raise ValueError("a criterion layer extends an lpod2asp_base document")
-    m, heads, domains = base.m, base.heads, base.domains
+    m, heads = base.m, base.heads
     maxdegree = max(heads)
-    ap_domain = base.ap_terms()
-    dvars, ddomains = _degree_vars("D", heads)
-    d1vars, d1domains = _degree_vars("D1", heads)
-    d2vars, d2domains = _degree_vars("D2", heads)
-    p1, p2, pv = Var("P1"), Var("P2"), Var("P")
-    x = Var("X")
-    n, n1, n2 = Var("N"), Var("N1"), Var("N2")
-    pdomains = (("P", ap_domain), ("P1", ap_domain), ("P2", ap_domain))
-    count_domain = tuple(range(0, m + 1))
-    stmts = []
+    xs, ds, d1s, d2s = _names("X", m), _names("D", m), _names("D1", m), _names("D2", m)
+    X, D, ap = ",".join(xs), ",".join(ds), _call("ap", xs)
+    degree_pair = "degree(P1,%s), degree(P2,%s)" % (",".join(d1s), ",".join(d2s))
+    ap_domain = _ap_terms(base.domains)
+    pdom = _domains(("P", "P1", "P2"), (ap_domain,) * 3)
+    degree_values = [range(1, n + 1) for n in heads]
+    ddom = pdom + _domains(ds, degree_values)
+    d12dom = pdom + _domains(d1s, degree_values) + _domains(d2s, degree_values)
+    at_x = (("X", tuple(range(1, maxdegree + 1))),)
+    counts = tuple(range(0, m + 1))
+    prf_by_degree = _rule(
+        "prf(P1,P2) :- X=0..maxdegree-1, prf2degree(P1,P2,X+1), X{equ2degree(P1,P2,Y): Y=1..X}.",
+        "preference", pdom[1:], "global",
+    )
 
     if criterion is Criterion.CARDINALITY:
-        stmts.append(
-            RuleStmt(
-                head=Lit("card", (pv, x, n)),
-                body=(
-                    Lit("degree", (pv,) + dvars),
-                    RangeBind(x, 1, ConstRef("maxdegree")),
-                    CountExpr(
-                        elements=tuple(AggElem(Cmp("=", d, x)) for d in dvars),
-                        bind=n,
-                    ),
-                ),
-                tag="cardinality-count",
-                phase="global",
-                var_domains=pdomains + ddomains,
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=Lit("equ2degree", (p1, p2, x)),
-                body=(
-                    Lit("card", (p1, x, n)),
-                    Lit("card", (p2, x, n)),
-                    Cmp("!=", p1, p2),
-                ),
-                tag="equal-at-degree",
-                phase="global",
-                var_domains=pdomains
-                + (("X", tuple(range(1, maxdegree + 1))), ("N", count_domain)),
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=Lit("prf2degree", (p1, p2, x)),
-                body=(
-                    Lit("card", (p1, x, n1)),
-                    Lit("card", (p2, x, n2)),
-                    Cmp(">", n1, n2),
-                ),
-                tag="better-at-degree",
-                phase="global",
-                var_domains=pdomains
-                + (
-                    ("X", tuple(range(1, maxdegree + 1))),
-                    ("N1", count_domain),
-                    ("N2", count_domain),
-                ),
-            )
-        )
-        stmts.extend(_pref_common_tail(m, domains, ap_domain))
+        stmts = [
+            _rule(
+                "card(P,X,N) :- degree(P,%s), X=1..maxdegree, N={%s}." % (D, "; ".join(d + "=X" for d in ds)),
+                "cardinality-count", ddom, "global",
+            ),
+            _rule(
+                "equ2degree(P1,P2,X) :- card(P1,X,N), card(P2,X,N), P1!=P2.",
+                "equal-at-degree", pdom + at_x + (("N", counts),), "global",
+            ),
+            _rule(
+                "prf2degree(P1,P2,X) :- card(P1,X,N1), card(P2,X,N2), N1>N2.",
+                "better-at-degree", pdom + at_x + (("N1", counts), ("N2", counts)), "global",
+            ),
+            prf_by_degree,
+        ]
     elif criterion is Criterion.INCLUSION:
-        stmts.append(FactPoolStmt(pred="even", values=(0, 2), tag="even-parity-facts"))
-        cvars = tuple(Var("C%d" % i) for i in range(1, m + 1))
-        equ_body = [Cmp("!=", p1, p2), RangeBind(x, 1, ConstRef("maxdegree"))]
-        equ_body.append(Lit("degree", (p1,) + d1vars))
-        equ_body.append(Lit("degree", (p2,) + d2vars))
-        for c, d1, d2 in zip(cvars, d1vars, d2vars):
-            equ_body.append(
-                CountExpr(
-                    elements=(AggElem(Cmp("=", d1, x)), AggElem(Cmp("=", d2, x))),
-                    bind=c,
-                )
-            )
-        for c in cvars:
-            equ_body.append(Lit("even", (c,)))
-        stmts.append(
-            RuleStmt(
-                head=Lit("equ2degree", (p1, p2, x)),
-                body=tuple(equ_body),
-                tag="equal-at-degree",
-                phase="global",
-                var_domains=pdomains + d1domains + d2domains,
-            )
-        )
-        prf2_body = [
-            Cmp("!=", p1, p2),
-            RangeBind(x, 1, ConstRef("maxdegree")),
-            Lit("equ2degree", (p1, p2, x), neg=True),
-            Lit("degree", (p1,) + d1vars),
-            Lit("degree", (p2,) + d2vars),
+        pairs = list(zip(range(1, m + 1), d1s, d2s))
+        stmts = [
+            _rule("even(0; 2).", "even-parity-facts", (), "global"),
+            _rule(
+                "equ2degree(P1,P2,X) :- P1!=P2, X=1..maxdegree, %s, %s, %s." % (
+                    degree_pair,
+                    ", ".join("C%d={%s=X; %s=X}" % pair for pair in pairs),
+                    ", ".join("even(C%d)" % i for i in range(1, m + 1)),
+                ),
+                "equal-at-degree", d12dom, "global",
+            ),
+            _rule(
+                "prf2degree(P1,P2,X) :- P1!=P2, X=1..maxdegree, not equ2degree(P1,P2,X), %s, %s."
+                % (degree_pair, ", ".join("{%s!=X; %s=X}1" % pair[1:] for pair in pairs)),
+                "better-at-degree", d12dom, "global",
+            ),
+            prf_by_degree,
         ]
-        for d1, d2 in zip(d1vars, d2vars):
-            prf2_body.append(
-                CountExpr(
-                    elements=(AggElem(Cmp("!=", d1, x)), AggElem(Cmp("=", d2, x))),
-                    upper=1,
-                )
-            )
-        stmts.append(
-            RuleStmt(
-                head=Lit("prf2degree", (p1, p2, x)),
-                body=tuple(prf2_body),
-                tag="better-at-degree",
-                phase="global",
-                var_domains=pdomains + d1domains + d2domains,
-            )
-        )
-        stmts.extend(_pref_common_tail(m, domains, ap_domain))
     elif criterion is Criterion.PARETO:
-        stmts.append(
-            RuleStmt(
-                head=Lit("equ", (p1, p2)),
-                body=(Lit("degree", (p1,) + dvars), Lit("degree", (p2,) + dvars)),
-                tag="degree-equality",
-                phase="global",
-                var_domains=pdomains + ddomains,
-            )
-        )
-        prf_body = [
-            Lit("degree", (p1,) + d1vars),
-            Lit("degree", (p2,) + d2vars),
-            Lit("equ", (p1, p2), neg=True),
+        stmts = [
+            _rule("equ(P1,P2) :- degree(P1,%s), degree(P2,%s)." % (D, D), "degree-equality", ddom, "global"),
+            _rule(
+                "prf(P1,P2) :- %s, not equ(P1,P2), %s."
+                % (degree_pair, ", ".join("%s<=%s" % pair for pair in zip(d1s, d2s))),
+                "preference", d12dom, "global",
+            ),
         ]
-        for d1, d2 in zip(d1vars, d2vars):
-            prf_body.append(Cmp("<=", d1, d2))
-        stmts.append(
-            RuleStmt(
-                head=Lit("prf", (p1, p2)),
-                body=tuple(prf_body),
-                tag="preference",
-                phase="global",
-                var_domains=pdomains + d1domains + d2domains,
-            )
-        )
-        stmts.append(_pas_statement(m, domains, ap_domain))
     elif criterion is Criterion.PENALTY_SUM:
-        sum_domain = tuple(range(m, sum(heads) + 1))
-        stmts.append(
-            RuleStmt(
-                head=Lit("sum", (pv, n)),
-                body=(Lit("degree", (pv,) + dvars), Cmp("=", n, add_chain(dvars))),
-                tag="degree-sum",
-                phase="global",
-                var_domains=pdomains + ddomains,
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=Lit("prf", (p1, p2)),
-                body=(Lit("sum", (p1, n1)), Lit("sum", (p2, n2)), Cmp("<", n1, n2)),
-                tag="preference",
-                phase="global",
-                var_domains=pdomains + (("N1", sum_domain), ("N2", sum_domain)),
-            )
-        )
-        stmts.append(_pas_statement(m, domains, ap_domain))
+        sums = tuple(range(m, sum(heads) + 1))
+        stmts = [
+            _rule("sum(P,N) :- degree(P,%s), N=%s." % (D, "+".join(ds)), "degree-sum", ddom, "global"),
+            _rule(
+                "prf(P1,P2) :- sum(P1,N1), sum(P2,N2), N1<N2.",
+                "preference", pdom + (("N1", sums), ("N2", sums)), "global",
+            ),
+        ]
     else:
         raise ValueError("unknown criterion %r" % (criterion,))
+    stmts.append(
+        _rule(
+            "pAS(%s) :- %s, {prf(P,%s)}0." % (X, ap, ap),
+            "preferred-answer-set", _domains(xs, base.domains) + (("P", ap_domain),), "global",
+        )
+    )
 
     return AspDocument(
         dialect=Dialect.LPOD,
         m=m,
         heads=heads,
-        domains=domains,
+        domains=base.domains,
         sigma=base.sigma,
         statements=base.statements + tuple(stmts),
         constants=(("maxdegree", maxdegree),),
         criterion=criterion.value,
-    )
-
-
-def _pas_statement(m: int, domains, ap_domain) -> RuleStmt:
-    xvars = _xvars(m)
-    return RuleStmt(
-        head=Lit("pAS", xvars),
-        body=(
-            _ap_lit(xvars),
-            CountExpr(
-                elements=(AggElem(Lit("prf", (Var("P"), Fn("ap", xvars)))),),
-                upper=0,
-            ),
-        ),
-        tag="preferred-answer-set",
-        phase="global",
-        var_domains=_xdomain_pairs(m, domains) + (("P", ap_domain),),
     )
 
 
@@ -684,126 +498,48 @@ def crp2asp(p: Program) -> AspDocument:
     m = len(rules)
     heads = tuple(r.head_size() for r in rules)
     domains = p.assumption_domains()
-    xvars = _xvars(m)
-    yvars = _yvars(m)
-    xdomains = _xdomain_pairs(m, domains)
-    ydomains = tuple(("Y%d" % i, tuple(domains[i - 1])) for i in range(1, m + 1))
-    ap = _ap_lit(xvars)
-    ap_y = Lit("ap", yvars)
-    stmts = []
-    stmts.append(
-        RuleStmt(
-            head=ChoiceExpr(
-                elements=(
-                    AggElem(
-                        ap,
-                        conds=tuple(
-                            RangeBind(x, dom[0], dom[-1])
-                            for x, dom in zip(xvars, domains)
-                        ),
-                    ),
-                )
-            ),
-            tag="assumption-choice",
-            var_domains=xdomains,
-        )
-    )
-    stmts.append(
-        WeakStmt(body=(ap,), weight=-1, terms=xvars, tag="assumption-weight", var_domains=xdomains)
-    )
-    stmts.extend(_regular_statements(p, xvars, xdomains))
+    xs, ys = _names("X", m), _names("Y", m)
+    X, Y = ",".join(xs), ",".join(ys)
+    ap, ap_y, candidate = _call("ap", xs), _call("ap", ys), _call("candidate", xs)
+    xvars = tuple(Var(x) for x in xs)
+    xdom = _domains(xs, domains)
+    xydom = xdom + _domains(ys, domains)
+    pdom = xdom + (("P", _ap_terms(domains)),)
+
+    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, xdom)
     for r in rules:
-        i = r.index
-        xi = xvars[i - 1]
-        body = (ap,) + _extend_body(r.body, xvars)
+        body = (Lit("ap", xvars),) + _extend_body(r.body, xvars)
+        xi = xvars[r.index - 1]
         if r.kind is RuleKind.CR:
-            stmts.append(
-                RuleStmt(
-                    head=_extend_atom(r.head_atoms[0], xvars),
-                    body=body + (Cmp("=", xi, 1),),
-                    tag="cr-rule",
-                    var_domains=xdomains,
-                )
-            )
-        else:
-            for j, cj in enumerate(r.head_atoms, start=1):
-                stmts.append(
-                    RuleStmt(
-                        head=_extend_atom(cj, xvars),
-                        body=body + (Cmp("=", xi, j),),
-                        tag="ordered-option",
-                        var_domains=xdomains,
-                    )
-                )
-    dominate_head = Lit("dominate", (Fn("ap", xvars), Fn("ap", yvars)))
+            head, extra = _extend_atom(r.head_atoms[0], xvars), Cmp("=", xi, 1)
+            stmts.append(RuleStmt(head=head, body=body + (extra,), tag="cr-rule", var_domains=xdom))
+            continue
+        for j, cj in enumerate(r.head_atoms, start=1):
+            head, extra = _extend_atom(cj, xvars), Cmp("=", xi, j)
+            stmts.append(RuleStmt(head=head, body=body + (extra,), tag="ordered-option", var_domains=xdom))
+    dominate = "dominate(%s,%s) :- %s, %s, " % (ap, ap_y, ap, ap_y)
     # present only when some rule carries an ordered head; then one rule per
     # index (vacuous for cr-rule domains {0,1}, but that is the emitted form)
     if any(r.kind is not RuleKind.CR for r in rules):
-        for i in range(1, m + 1):
-            stmts.append(
-                RuleStmt(
-                    head=dominate_head,
-                    body=(
-                        ap,
-                        ap_y,
-                        Cmp("<", 0, xvars[i - 1]),
-                        Cmp("<", xvars[i - 1], yvars[i - 1]),
-                    ),
-                    tag="atomwise-dominance",
-                    phase="global",
-                    var_domains=xdomains + ydomains,
-                )
-            )
+        for x, y in zip(xs, ys):
+            text = dominate + "0<%s, %s<%s." % (x, x, y)
+            stmts.append(_rule(text, "atomwise-dominance", xydom, "global"))
+    text = "%s :- %s, {dominate(P,%s)}0." % (candidate, ap, ap)
+    stmts.append(_rule(text, "candidate-rule", pdom, "global"))
     stmts.append(
-        RuleStmt(
-            head=Lit("candidate", xvars),
-            body=(
-                ap,
-                CountExpr(
-                    elements=(AggElem(Lit("dominate", (Var("P"), Fn("ap", xvars)))),),
-                    upper=0,
-                ),
+        _rule(
+            "lessCrRulesApplied(%s,%s) :- %s, %s, 1{%s}%s." % (
+                ap, ap_y, candidate, _call("candidate", ys),
+                "; ".join("%s!=%s" % pair for pair in zip(xs, ys)),
+                "".join(", %s<=%s" % pair for pair in zip(xs, ys)),
             ),
-            tag="candidate-rule",
-            phase="global",
-            var_domains=xdomains + (("P", tuple(Term("ap", t) for t in product(*domains))),),
-        )
-    )
-    less_body = [Lit("candidate", xvars), Lit("candidate", yvars)]
-    less_body.append(
-        CountExpr(
-            elements=tuple(
-                AggElem(Cmp("!=", xv, yv)) for xv, yv in zip(xvars, yvars)
-            ),
-            lower=1,
-        )
-    )
-    for xv, yv in zip(xvars, yvars):
-        less_body.append(Cmp("<=", xv, yv))
-    stmts.append(
-        RuleStmt(
-            head=Lit("lessCrRulesApplied", (Fn("ap", xvars), Fn("ap", yvars))),
-            body=tuple(less_body),
-            tag="fewer-applied",
-            phase="global",
-            var_domains=xdomains + ydomains,
+            "fewer-applied", xydom, "global",
         )
     )
     stmts.append(
-        RuleStmt(
-            head=Lit("pAS", xvars),
-            body=(
-                Lit("candidate", xvars),
-                CountExpr(
-                    elements=(
-                        AggElem(Lit("lessCrRulesApplied", (Var("P"), Fn("ap", xvars)))),
-                    ),
-                    upper=0,
-                ),
-            ),
-            tag="preferred-rule",
-            phase="global",
-            var_domains=xdomains + (("P", tuple(Term("ap", t) for t in product(*domains))),),
+        _rule(
+            "%s :- %s, {lessCrRulesApplied(P,%s)}0." % (_call("pAS", xs), candidate, ap),
+            "preferred-rule", pdom, "global",
         )
     )
 
@@ -811,84 +547,36 @@ def crp2asp(p: Program) -> AspDocument:
         label_index = p.label_index
         pairs = [(label_index[a], label_index[b]) for a, b in p.prefer_facts]
         closure = set(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closure):
-                for c, d in list(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        closure_pairs = sorted(closure)
-        cr_like = tuple(
-            r.index for r in rules if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR)
-        )
-        r1, r2, r3 = Var("R1"), Var("R2"), Var("R3")
-        rdomain = (("R1", cr_like), ("R2", cr_like), ("R3", cr_like))
+        while True:
+            new = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+            if not new:
+                break
+            closure |= new
+        cr_like = tuple(r.index for r in rules if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR))
+        rdom = xdom + (("R1", cr_like), ("R2", cr_like), ("R3", cr_like))
         for a, b in pairs:
+            stmts.append(_rule("prefer(%d,%d,%s) :- %s." % (a, b, X, ap), "prefer-lift", xdom))
+        stmts.append(_rule("isPreferred(R1,R2,%s) :- prefer(R1,R2,%s)." % (X, X), "preference-closure", rdom))
+        stmts.append(
+            _rule(
+                "isPreferred(R1,R3,%s) :- prefer(R1,R2,%s), isPreferred(R2,R3,%s)." % (X, X, X),
+                "preference-closure", rdom,
+            )
+        )
+        stmts.append(_rule(":- isPreferred(R,R,%s)." % X, "preference-irreflexive", xdom + (("R", cr_like),)))
+        for a, b in sorted(closure):
             stmts.append(
-                RuleStmt(
-                    head=Lit("prefer", (a, b) + xvars),
-                    body=(ap,),
-                    tag="prefer-lift",
-                    var_domains=xdomains,
+                _rule(
+                    ":- isPreferred(%d,%d,%s), X%d>0, X%d>0." % (a, b, X, a, b),
+                    "preference-applied-conflict", xdom,
                 )
             )
-        stmts.append(
-            RuleStmt(
-                head=Lit("isPreferred", (r1, r2) + xvars),
-                body=(Lit("prefer", (r1, r2) + xvars),),
-                tag="preference-closure",
-                var_domains=xdomains + rdomain,
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=Lit("isPreferred", (r1, r3) + xvars),
-                body=(
-                    Lit("prefer", (r1, r2) + xvars),
-                    Lit("isPreferred", (r2, r3) + xvars),
-                ),
-                tag="preference-closure",
-                var_domains=xdomains + rdomain,
-            )
-        )
-        stmts.append(
-            RuleStmt(
-                head=None,
-                body=(Lit("isPreferred", (Var("R"), Var("R")) + xvars),),
-                tag="preference-irreflexive",
-                var_domains=xdomains + (("R", cr_like),),
-            )
-        )
-        for a, b in closure_pairs:
+        for a, b in sorted(closure):
             stmts.append(
-                RuleStmt(
-                    head=None,
-                    body=(
-                        Lit("isPreferred", (a, b) + xvars),
-                        Cmp(">", xvars[a - 1], 0),
-                        Cmp(">", xvars[b - 1], 0),
-                    ),
-                    tag="preference-applied-conflict",
-                    var_domains=xdomains,
-                )
-            )
-        for a, b in closure_pairs:
-            stmts.append(
-                RuleStmt(
-                    head=dominate_head,
-                    body=(
-                        ap,
-                        ap_y,
-                        Lit("isPreferred", (a, b) + xvars),
-                        Lit("isPreferred", (a, b) + yvars),
-                        Cmp(">", xvars[a - 1], 0),
-                        Cmp(">", yvars[b - 1], 0),
-                    ),
-                    tag="rulewise-dominance",
-                    phase="global",
-                    var_domains=xdomains + ydomains,
+                _rule(
+                    dominate + "isPreferred(%d,%d,%s), isPreferred(%d,%d,%s), X%d>0, Y%d>0."
+                    % (a, b, X, a, b, Y, a, b),
+                    "rulewise-dominance", xydom, "global",
                 )
             )
 
@@ -904,13 +592,14 @@ def crp2asp(p: Program) -> AspDocument:
 
 # --- reading emitted text back ---------------------------------------------------
 
-_EMIT_TOKEN = __import__("re").compile(
+_EMIT_TOKEN = re.compile(
     r"#const|\.\.|:~|:-|!=|<=|>=|[A-Za-z_][A-Za-z0-9_]*|\d+|[(){}\[\];:,.=<>+\-]"
 )
 
 
 class _DocReader:
-    """Parses the emitter's own output back into statement ASTs.
+    """Parses the emitter's own output back into statement ASTs; the
+    translations build their fixed-shape rules with it (`_read`).
 
     Tags, phases and variable domains are construction knowledge and come
     back empty; everything the text carries (heads, bodies, aggregates,

@@ -226,6 +226,21 @@ def test_prefer_self_loop_rejected():
     assert out.stderr.splitlines() == ["error: prefer(r1,r1) closes a preference cycle"]
 
 
+def test_maxdegree_constant_rejected():
+    for command in ("translate", "check"):
+        out = run([command, "--criterion", "pareto", "--dialect", "lpod"], stdin="p(maxdegree) * q.\n")
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["error: constant maxdegree is reserved in lpod programs: p(maxdegree)"]
+        assert out.stdout == ""
+
+
+def test_check_random_negative_count_rejected():
+    out = run(["check", "--random", "-3", "--dialect", "lpod"])
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: --random must not be negative, got -3"]
+    assert out.stdout == ""
+
+
 def test_dialect_inferred_from_extension():
     out = run(["solve", "programs/pi3.crp", "--format", "json"])
     assert out.returncode == 0

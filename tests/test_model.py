@@ -9,6 +9,7 @@ from lpodc.model import (
     canonicalize,
     validate_program,
 )
+from lpodc.parser import parse
 from lpodc.randgen import random_crp, random_lpod
 
 
@@ -58,6 +59,14 @@ def test_choice_bounds_reported():
     assert codes(-1, -2) == ["negative-choice-bound"]
     assert codes(0, -1) == ["negative-choice-bound"]
     assert codes(0, 2) == codes(2, 2) == codes(3, 3) == []
+
+
+def test_maxdegree_constant_reported_in_lpod_only():
+    # criterion documents declare #const maxdegree, which would rename it
+    lpod = parse("p(maxdegree) * q.\n:- r(1,maxdegree).\n", Dialect.LPOD)
+    assert [v.code for v in validate_program(lpod).violations] == ["reserved-constant"] * 2
+    assert validate_program(parse("p(max_degree) * q.\n", Dialect.LPOD)).ok
+    assert validate_program(parse("r1: p(maxdegree) :+.\n", Dialect.CRP2)).ok
 
 
 def test_prefer_cycle_reported():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import goldens
@@ -15,6 +17,7 @@ from lpodc.translate import (
     emit,
     lpod2asp_base,
     lpod2asp_pref,
+    parse_emitted,
 )
 
 
@@ -170,42 +173,104 @@ def test_rulewise_block_only_with_prefer(pi3, pi3p):
     assert "prefer(2,1,X1,X2) :- ap(X1,X2)." in emit(crp2asp(pi3p))
 
 
-def _reparse_tokens(doc):
-    from conftest import tokens
-    from lpodc.translate import parse_emitted, render_statement
+def _bare(statements):
+    return [replace(s, tag="", phase="", var_domains=()) for s in statements]
 
-    text = emit(doc)
-    constants, stmts = parse_emitted(text)
-    rebuilt = "\n".join(
-        ["#const %s = %s." % pair for pair in constants]
-        + [render_statement(s) for s in stmts]
-    )
-    return tokens(rebuilt), tokens(text)
+
+def _assert_round_trip(doc):
+    constants, statements = parse_emitted(emit(doc))
+    assert constants == doc.constants
+    assert _bare(statements) == _bare(doc.statements)
+
+
+# no cr-rule and no ordered rule: m = 0, so the ap term is the constant ap
+M0_CRP = ("a :- not b. b :- not a.", "a. :- b.", "a :- not a.")
 
 
 def test_emitted_text_reparses_to_same_structure(pi1, pi2, pi3, pi3p):
     docs = [lpod2asp_base(pi1), crp2asp(pi3), crp2asp(pi3p)]
     docs += [lpod2asp_pref(pi2, c) for c in Criterion]
+    docs += [crp2asp(canonicalize(parse(text, Dialect.CRP2))) for text in M0_CRP]
+    assert [d.m for d in docs[-len(M0_CRP):]] == [0] * len(M0_CRP)
     for doc in docs:
-        rebuilt, original = _reparse_tokens(doc)
-        assert rebuilt == original
+        _assert_round_trip(doc)
 
 
 def test_emitted_text_reparses_on_random_programs():
     import random
 
-    from lpodc.randgen import random_crp, random_lpod
+    from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 
     rng = random.Random(97)
     for _ in range(25):
-        p = random_lpod(rng)
-        if p.nonregular_rules:
-            doc = lpod2asp_pref(p, rng.choice(list(Criterion)))
-            rebuilt, original = _reparse_tokens(doc)
-            assert rebuilt == original
-        doc = crp2asp(random_crp(rng))
-        rebuilt, original = _reparse_tokens(doc)
-        assert rebuilt == original
+        for p in (random_lpod(rng), random_lpod_args(rng)):
+            _assert_round_trip(lpod2asp_pref(p, rng.choice(list(Criterion))))
+        _assert_round_trip(crp2asp(random_crp(rng)))
+        _assert_round_trip(crp2asp(random_crp(rng, max_cr=0, max_ordered_cr=0, max_ordered=0)))
+
+
+T, G = "tuple", "global"
+# (tag, phase) of every statement, recorded before the fixed-shape rules
+# were written as text; one block per ordered rule of pi1 (two heads each)
+PI1_BASE_TAGS = [
+    ("assumption-choice", T), ("assumption-weight", T),
+    ("body-definition", T), ("body-off-constraint", T), ("body-on-constraint", T),
+    ("head-option", T), ("head-option", T), ("first-true-guard", T), ("first-true-guard", T),
+    ("body-definition", T), ("body-off-constraint", T), ("body-on-constraint", T),
+    ("head-option", T), ("head-option", T), ("first-true-guard", T), ("first-true-guard", T),
+    ("degree-choice", T),
+    ("degree-from-zero", T), ("degree-from-positive", T),
+    ("degree-from-zero", T), ("degree-from-positive", T),
+]
+PI2_BASE_TAGS = [
+    ("assumption-choice", T), ("assumption-weight", T),
+    ("regular-rule", T), ("regular-rule", T), ("regular-rule", T), ("regular-rule", T),
+    ("regular-rule", T), ("regular-rule", T), ("regular-rule", T),
+    ("body-definition", T), ("body-off-constraint", T), ("body-on-constraint", T),
+    ("head-option", T), ("head-option", T), ("head-option", T), ("head-option", T),
+    ("first-true-guard", T), ("first-true-guard", T), ("first-true-guard", T), ("first-true-guard", T),
+    ("body-definition", T), ("body-off-constraint", T), ("body-on-constraint", T),
+    ("head-option", T), ("head-option", T), ("head-option", T),
+    ("first-true-guard", T), ("first-true-guard", T), ("first-true-guard", T),
+    ("degree-choice", T),
+    ("degree-from-zero", T), ("degree-from-positive", T),
+    ("degree-from-zero", T), ("degree-from-positive", T),
+]
+PI2_CRITERION_TAGS = {
+    Criterion.CARDINALITY: [
+        ("cardinality-count", G), ("equal-at-degree", G), ("better-at-degree", G),
+        ("preference", G), ("preferred-answer-set", G),
+    ],
+    Criterion.INCLUSION: [
+        ("even-parity-facts", G), ("equal-at-degree", G), ("better-at-degree", G),
+        ("preference", G), ("preferred-answer-set", G),
+    ],
+    Criterion.PARETO: [("degree-equality", G), ("preference", G), ("preferred-answer-set", G)],
+    Criterion.PENALTY_SUM: [("degree-sum", G), ("preference", G), ("preferred-answer-set", G)],
+}
+PI3_TAGS = [
+    ("assumption-choice", T), ("assumption-weight", T),
+    ("regular-rule", T), ("regular-rule", T), ("regular-rule", T), ("regular-rule", T), ("regular-rule", T),
+    ("cr-rule", T), ("ordered-option", T), ("ordered-option", T),
+    ("atomwise-dominance", G), ("atomwise-dominance", G),
+    ("candidate-rule", G), ("fewer-applied", G), ("preferred-rule", G),
+]
+PI3P_EXTENSION_TAGS = [
+    ("prefer-lift", T), ("preference-closure", T), ("preference-closure", T),
+    ("preference-irreflexive", T), ("preference-applied-conflict", T), ("rulewise-dominance", G),
+]
+
+
+def _tags(doc):
+    return [(s.tag, s.phase) for s in doc.statements]
+
+
+def test_statement_tags_and_phases(pi1, pi2, pi3, pi3p):
+    assert _tags(lpod2asp_base(pi1)) == PI1_BASE_TAGS
+    for criterion, layer in PI2_CRITERION_TAGS.items():
+        assert _tags(lpod2asp_pref(pi2, criterion)) == PI2_BASE_TAGS + layer
+    assert _tags(crp2asp(pi3)) == PI3_TAGS
+    assert _tags(crp2asp(pi3p)) == PI3_TAGS + PI3P_EXTENSION_TAGS
 
 
 def test_crp_without_ordered_or_prefer_has_no_dominate_rules():
