@@ -278,6 +278,10 @@ def validate_program(p: Program) -> ValidationReport:
                 bad("reserved-predicate", "reserved predicate %s" % hit)
             if not IDENT_RE.match(atom.predicate):
                 bad("bad-predicate", "predicate %r is not a valid identifier" % atom.predicate)
+            for arg in atom.args:
+                if isinstance(arg, str) and not IDENT_RE.match(arg):
+                    # ASP would read it as a variable, not a constant
+                    bad("bad-constant", "argument %r of %s is not a valid constant" % (arg, atom))
             if p.dialect is Dialect.LPOD and "maxdegree" in atom.args:
                 # the criterion layers declare #const maxdegree, which would rename it
                 bad("reserved-constant", "constant maxdegree is reserved in lpod programs: %s" % atom)

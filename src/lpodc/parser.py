@@ -13,6 +13,10 @@ Grammar sketch (UTF-8, % comments, newline-agnostic):
 
 "*" writes ordered disjunction, ":+" the consistency-restoring arrow.
 Facts omit the arrow. Labels are only meaningful on cr/ordered rules.
+
+The text is tokenized by one regex scan into (kind, text, offset) tuples;
+a SourceSpan (line and column) is computed only for the ParseError raised,
+so valid input builds none.
 """
 
 from __future__ import annotations
@@ -40,90 +44,78 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+    (?P<skip>\s+|%[^\n]*)
   | (?P<arrow>:-|:\+)
   | (?P<num>-?\d+)
   | (?P<ident>[a-zA-Z_][A-Za-z0-9_]*)
   | (?P<punct>[(){};:,.*])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # arrow | num | ident | punct | eof
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError("unexpected character %r" % text[pos], span)
-        kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            span = SourceSpan(m.start(), m.end(), line, m.start() - line_start + 1)
-            tokens.append(_Token(kind, tok_text, span))
-        line += tok_text.count("\n")
-        if "\n" in tok_text:
-            line_start = m.start() + tok_text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", SourceSpan(len(text), len(text), line, len(text) - line_start + 1)))
+def _tokenize(text: str) -> list:
+    """(kind, text, offset) per token, kind one of arrow | num | ident |
+    punct, then two eof tokens so that peek(1) needs no bounds check."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup != "skip"]
+    for kind, tok_text, pos in tokens:
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % tok_text, _span(text, pos, pos + 1))
+    tokens += [("eof", "", len(text))] * 2
     return tokens
+
+
+def _span(text: str, start: int, end: int) -> SourceSpan:
+    """Line and column (both from 1) of `start`; only errors need them."""
+    line_start = text.rfind("\n", 0, start) + 1
+    return SourceSpan(start, end, text.count("\n", 0, start) + 1, start - line_start + 1)
 
 
 class _Parser:
     def __init__(self, text: str, dialect: Dialect):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.dialect = dialect
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.tokens[self.i + ahead]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
+        # at eof a ParseError always follows, so i never passes the padding
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
+        self.i += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def error(self, message: str, tok: tuple) -> ParseError:
+        _, tok_text, pos = tok
+        return ParseError(message, _span(self.text, pos, pos + len(tok_text)))
+
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError("expected %r, found %r" % (text, tok.text or "end of input"), tok.span)
-        return tok
+        if tok[1] != text:
+            raise self.error("expected %r, found %r" % (text, tok[1] or "end of input"), tok)
 
     def fail(self, message: str) -> None:
-        raise ParseError(message, self.peek().span)
+        raise self.error(message, self.peek())
 
     def parse_program(self) -> Program:
-        rules = []
-        prefers = []
-        while self.peek().kind != "eof":
+        rules, prefers = [], []
+        while self.peek()[0] != "eof":
             stmt = self.parse_statement()
-            if isinstance(stmt, tuple):
-                prefers.append(stmt)
-            else:
-                rules.append(stmt)
+            (prefers if isinstance(stmt, tuple) else rules).append(stmt)
         return Program(dialect=self.dialect, rules=tuple(rules), prefer_facts=tuple(prefers))
 
     def parse_statement(self):
         label = None
-        if self.peek().kind == "ident" and self.peek(1).text == ":":
-            label = self.next().text
+        if self.peek()[0] == "ident" and self.peek(1)[1] == ":":
+            label = self.next()[1]
             self.next()
 
         tok = self.peek()
-        if tok.text == ":-":  # constraint
+        kind, text, _ = tok
+        if text == ":-":  # constraint
             self.next()
             body = self.parse_body()
             self.expect(".")
@@ -131,41 +123,41 @@ class _Parser:
                 self.fail("constraints cannot carry a label")
             return Rule(kind=RuleKind.REGULAR, head_atoms=(), body=body)
 
-        if tok.kind == "num" or (tok.text == "{"):
+        if kind == "num" or text == "{":
             return self.parse_choice_rule(label)
 
-        if tok.kind != "ident":
-            self.fail("expected a statement, found %r" % (tok.text or "end of input"))
+        if kind != "ident":
+            self.fail("expected a statement, found %r" % (text or "end of input"))
 
         first = self.parse_atom()
         if (
             label is None
             and first.predicate == "prefer"
             and len(first.args) == 2
-            and self.peek().text == "."
+            and self.peek()[1] == "."
         ):
             if self.dialect is not Dialect.CRP2:
-                raise ParseError("prefer facts are only allowed in the crp2 dialect", tok.span)
+                raise self.error("prefer facts are only allowed in the crp2 dialect", tok)
             self.next()
             a1, a2 = first.args
             if not isinstance(a1, str) or not isinstance(a2, str):
-                raise ParseError("prefer arguments must be rule labels", tok.span)
+                raise self.error("prefer arguments must be rule labels", tok)
             return (a1, a2)
 
         heads = [first]
-        while self.peek().text == "*":
+        while self.peek()[1] == "*":
             self.next()
             heads.append(self.parse_atom())
 
         arrow = self.peek()
         cr = False
         body = ()
-        if arrow.text in (":-", ":+"):
+        if arrow[1] in (":-", ":+"):
             self.next()
-            cr = arrow.text == ":+"
+            cr = arrow[1] == ":+"
             if cr and self.dialect is not Dialect.CRP2:
-                raise ParseError("':+' rules are only allowed in the crp2 dialect", arrow.span)
-            if self.peek().text != ".":
+                raise self.error("':+' rules are only allowed in the crp2 dialect", arrow)
+            if self.peek()[1] != ".":
                 body = self.parse_body()
         self.expect(".")
 
@@ -180,24 +172,18 @@ class _Parser:
     def parse_choice_rule(self, label):
         if label is not None:
             self.fail("choice rules cannot carry a label")
-        lower_tok = self.next()
-        if lower_tok.kind != "num":
-            raise ParseError("choice heads need an explicit lower bound", lower_tok.span)
-        lower = int(lower_tok.text)
+        lower = self.parse_bound("lower")
         self.expect("{")
         elems = [self.parse_atom()]
-        while self.peek().text == ";":
+        while self.peek()[1] == ";":
             self.next()
             elems.append(self.parse_atom())
         self.expect("}")
-        upper_tok = self.next()
-        if upper_tok.kind != "num":
-            raise ParseError("choice heads need an explicit upper bound", upper_tok.span)
-        upper = int(upper_tok.text)
+        upper = self.parse_bound("upper")
         body = ()
-        if self.peek().text == ":-":
+        if self.peek()[1] == ":-":
             self.next()
-            if self.peek().text != ".":
+            if self.peek()[1] != ".":
                 body = self.parse_body()
         self.expect(".")
         return Rule(
@@ -207,42 +193,50 @@ class _Parser:
             choice_bounds=(lower, upper),
         )
 
+    def parse_bound(self, which: str) -> int:
+        tok = self.next()
+        if tok[0] != "num":
+            raise self.error("choice heads need an explicit %s bound" % which, tok)
+        return int(tok[1])
+
     def parse_body(self):
         lits = [self.parse_literal()]
-        while self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.next()
             lits.append(self.parse_literal())
         return tuple(lits)
 
     def parse_literal(self) -> Literal:
         negated = False
-        if self.peek().kind == "ident" and self.peek().text == "not":
+        if self.peek()[1] == "not":
             self.next()
             negated = True
         return Literal(atom=self.parse_atom(), negated=negated)
 
     def parse_atom(self) -> Atom:
         tok = self.next()
-        if tok.kind != "ident" or tok.text == "not":
-            raise ParseError("expected an atom, found %r" % (tok.text or "end of input"), tok.span)
+        kind, text, _ = tok
+        if kind != "ident" or text == "not":
+            raise self.error("expected an atom, found %r" % (text or "end of input"), tok)
         args = ()
-        if self.peek().text == "(":
+        if self.peek()[1] == "(":
             self.next()
             parts = [self.parse_arg()]
-            while self.peek().text == ",":
+            while self.peek()[1] == ",":
                 self.next()
                 parts.append(self.parse_arg())
             self.expect(")")
             args = tuple(parts)
-        return Atom(predicate=tok.text, args=args)
+        return Atom(predicate=text, args=args)
 
     def parse_arg(self):
         tok = self.next()
-        if tok.kind == "num":
-            return int(tok.text)
-        if tok.kind == "ident":
-            return tok.text
-        raise ParseError("expected a constant argument, found %r" % (tok.text or "end of input"), tok.span)
+        kind, text, _ = tok
+        if kind == "num":
+            return int(text)
+        if kind == "ident":
+            return text
+        raise self.error("expected a constant argument, found %r" % (text or "end of input"), tok)
 
 
 def parse(text: str, dialect: Dialect) -> Program:
@@ -250,24 +244,16 @@ def parse(text: str, dialect: Dialect) -> Program:
     return _Parser(text, dialect).parse_program()
 
 
-def render_atom(a: Atom) -> str:
-    return str(a)
-
-
-def render_literal(lit: Literal) -> str:
-    return ("not " if lit.negated else "") + render_atom(lit.atom)
-
-
 def render_rule(r: Rule) -> str:
-    body = ", ".join(render_literal(l) for l in r.body)
+    body = ", ".join(map(str, r.body))
     label = "%s: " % r.label if r.label is not None else ""
     if r.is_choice:
         lo, up = r.choice_bounds
-        head = "%d {%s} %d" % (lo, "; ".join(render_atom(a) for a in r.head_atoms), up)
+        head = "%d {%s} %d" % (lo, "; ".join(map(str, r.head_atoms)), up)
     elif r.kind in (RuleKind.ORDERED, RuleKind.ORDERED_CR):
-        head = " * ".join(render_atom(a) for a in r.head_atoms)
+        head = " * ".join(map(str, r.head_atoms))
     elif r.head_atoms:
-        head = render_atom(r.head_atoms[0])
+        head = str(r.head_atoms[0])
     else:
         head = ""
     arrow = ":+" if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR) else ":-"

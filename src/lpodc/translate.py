@@ -109,7 +109,7 @@ class RuleStmt:
     body: tuple = ()
     tag: str = ""
     phase: str = "tuple"  # "tuple" | "global"
-    var_domains: tuple = ()  # ((name, (values...)), ...)
+    var_domains: tuple = ()  # ((name, values), ...), values any re-iterable
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,15 @@ def _domains(names, values) -> tuple:
     return tuple((n, tuple(v)) for n, v in zip(names, values))
 
 
-def _ap_terms(domains) -> tuple:
-    """The ap(x1,...,xm) terms of a tuple space, in the form `_call` writes."""
-    return tuple(Term("ap", t) if t else "ap" for t in product(*domains))
+@dataclass(frozen=True)
+class _ApTerms:
+    """The ap(x1,...,xm) terms of a tuple space, in the form `_call` writes:
+    the domain of P, P1 and P2, made only when a grounder enumerates it."""
+
+    domains: tuple
+
+    def __iter__(self):
+        return (Term("ap", t) if t else "ap" for t in product(*self.domains))
 
 
 def _assumption_statements(xs: list, domains) -> list:
@@ -399,8 +405,8 @@ def lpod2asp_criterion(base: AspDocument, criterion) -> AspDocument:
     xs, ds, d1s, d2s = _names("X", m), _names("D", m), _names("D1", m), _names("D2", m)
     X, D, ap = ",".join(xs), ",".join(ds), _call("ap", xs)
     degree_pair = "degree(P1,%s), degree(P2,%s)" % (",".join(d1s), ",".join(d2s))
-    ap_domain = _ap_terms(base.domains)
-    pdom = _domains(("P", "P1", "P2"), (ap_domain,) * 3)
+    ap_domain = _ApTerms(base.domains)
+    pdom = tuple((v, ap_domain) for v in ("P", "P1", "P2"))
     degree_values = [range(1, n + 1) for n in heads]
     ddom = pdom + _domains(ds, degree_values)
     d12dom = pdom + _domains(d1s, degree_values) + _domains(d2s, degree_values)
@@ -504,7 +510,7 @@ def crp2asp(p: Program) -> AspDocument:
     xvars = tuple(Var(x) for x in xs)
     xdom = _domains(xs, domains)
     xydom = xdom + _domains(ys, domains)
-    pdom = xdom + (("P", _ap_terms(domains)),)
+    pdom = xdom + (("P", _ApTerms(domains)),)
 
     stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, xdom)
     for r in rules:

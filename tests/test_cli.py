@@ -234,6 +234,14 @@ def test_maxdegree_constant_rejected():
         assert out.stdout == ""
 
 
+def test_argument_variable_rejected():
+    for command in ("translate", "solve", "check"):
+        out = run([command, "--dialect", "lpod"], stdin="a * b(C).\n")
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["error: argument 'C' of b(C) is not a valid constant"]
+        assert out.stdout == ""
+
+
 def test_check_random_negative_count_rejected():
     out = run(["check", "--random", "-3", "--dialect", "lpod"])
     assert out.returncode == 2

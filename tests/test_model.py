@@ -69,6 +69,14 @@ def test_maxdegree_constant_reported_in_lpod_only():
     assert validate_program(parse("r1: p(maxdegree) :+.\n", Dialect.CRP2)).ok
 
 
+def test_argument_constants_must_be_identifiers():
+    # C and _c would be emitted as ASP variables, making the rule unsafe
+    for dialect in Dialect:
+        p = parse("a * b(C).\n:- c(1,_c), d(x_Y2).\n", dialect)
+        assert [v.code for v in validate_program(p).violations] == ["bad-constant"] * 2
+        assert validate_program(parse("a * b(c, -1, x_Y2).\n", dialect)).ok
+
+
 def test_prefer_cycle_reported():
     rules = tuple(
         Rule(kind=RuleKind.CR, head_atoms=(Atom(a),), label=label)

@@ -1,10 +1,16 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+from lpodc import parser
 from lpodc.model import Dialect, RuleKind, canonicalize
 from lpodc.parser import ParseError, parse, render
 from lpodc.randgen import random_crp, random_lpod
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+PARSE = Path(__file__).resolve().parent / "parse"
 
 
 def test_parse_pi1_shape():
@@ -112,3 +118,124 @@ def test_mutated_inputs_error_with_spans_inside_input():
         except ParseError as err:
             assert 0 <= err.span.start <= err.span.end <= len(text)
             assert err.span.line >= 1 and err.span.column >= 1
+
+
+def _program_text(rng: random.Random, n_rules: int, dialect: Dialect) -> str:
+    """Seeded source text: facts, rules, constraints, choice and ordered
+    rules over atoms with constant arguments, labels, comments and CRLF
+    line ends; in crp2 also cr-rules, ordered cr-rules and prefer facts."""
+
+    def atom():
+        args = [rng.choice(("1", "2", "-3", "a", "b_2", "cX")) for _ in range(rng.choice((0, 0, 1, 2)))]
+        pred = rng.choice(("p", "q", "r", "s", "tt"))
+        return pred + ("(%s)" % ",".join(args) if args else "")
+
+    def body():
+        return ", ".join(rng.choice(("", "not ")) + atom() for _ in range(rng.randint(1, 3)))
+
+    lines, labels = [], []
+    for k in range(n_rules):
+        roll = rng.random()
+        if roll < 0.15:
+            line = atom() + "."
+        elif roll < 0.35:
+            line = "%s :- %s." % (atom(), body())
+        elif roll < 0.45:
+            line = ":- %s." % body()
+        elif roll < 0.55:
+            line = "%d {%s} %d." % (rng.randint(0, 1), "; ".join(atom() for _ in range(3)), 2)
+        elif dialect is Dialect.CRP2 and roll < 0.75:
+            labels.append("l%d" % k)
+            heads = " * ".join(atom() for _ in range(rng.randint(1, 3)))
+            line = "l%d: %s :+%s." % (k, heads, rng.choice(("", " " + body())))
+        else:
+            label = rng.choice(("", "o%d: " % k))
+            line = "%s%s * %s :- %s." % (label, atom(), atom(), body())
+        if rng.random() < 0.2:
+            line += "  % note " + rng.choice(("a * b.", ":- x.", "#"))
+        lines.append(line)
+    if len(labels) >= 2:
+        lines.append("prefer(%s,%s)." % tuple(rng.sample(labels, 2)))
+    return "".join(line + rng.choice(("\n", "\n", "\r\n")) for line in lines)
+
+
+_JUNK = ",;*:({0#-%\n"
+
+# one input for each message the junk characters rarely reach
+_EDGE_TEXTS = (
+    "", "a", "a :-", "a * b :- c", "1 {a; b", "1 {a} b.", "1 {a} 1 :- .", "r: :- a.",
+    "r1: a :- b.", "r1: a.", "r: 1 {a} 1.", "prefer(r1,r2).", "prefer(1,r2).",
+    "prefer(r1,r2) :- a.", "a(1,-2,b) :- not c(x).", "not.", "a :- not not.", "a(",
+    "a\r\n\r\n  b c.", "% only a comment", "\u00e9.", "a :- b.\n\tc :- d\n",
+)
+
+
+def _parse_corpus() -> list:
+    """(name, text): programs/* and one generated program per dialect, each
+    as written, 70 times with 1-3 junk characters inserted and 10 times cut
+    short; then the edge texts."""
+    rng = random.Random(909)
+    bases = [(path.name, path.read_text()) for path in sorted(PROGRAMS.iterdir())]
+    bases += [("gen.%s" % d.value, _program_text(rng, 12, d)) for d in Dialect]
+    corpus = []
+    for name, text in bases:
+        corpus.append((name, text))
+        for k in range(1, 71):
+            mutated = text
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(len(mutated) + 1)
+                mutated = mutated[:pos] + rng.choice(_JUNK) + mutated[pos:]
+            corpus.append(("%s~%d" % (name, k), mutated))
+        corpus += [("%s<%d" % (name, k), text[: rng.randrange(len(text))]) for k in range(1, 11)]
+    return corpus + [("edge%d" % k, text) for k, text in enumerate(_EDGE_TEXTS, start=1)]
+
+
+def _parse_record(text: str, dialect: Dialect) -> str:
+    """The rule and prefer counts with a digest of the rendering, or the
+    error with its span."""
+    try:
+        p = parse(text, dialect)
+    except ParseError as err:
+        s = err.span
+        return "%s @ %d %d %d:%d" % (err, s.start, s.end, s.line, s.column)
+    digest = hashlib.sha1(render(p).encode()).hexdigest()[:12]
+    return "rules=%d prefers=%d render=%s" % (len(p.rules), len(p.prefer_facts), digest)
+
+
+def _parse_goldens(dialect: Dialect) -> str:
+    return "".join("%s: %s\n" % (name, _parse_record(text, dialect)) for name, text in _parse_corpus())
+
+
+def test_parse_matches_goldens():
+    # results, messages and spans are pinned line by line on both dialects
+    for dialect in Dialect:
+        golden = (PARSE / ("%s.txt" % dialect.value)).read_text().splitlines()
+        lines = _parse_goldens(dialect).splitlines()
+        assert len(lines) == len(golden) >= 480
+        for line, want in zip(lines, golden):
+            assert line == want
+
+
+def test_spans_are_made_only_for_errors(monkeypatch):
+    made = []
+
+    class CountingSpan(parser.SourceSpan):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(parser, "SourceSpan", CountingSpan)
+    text = _program_text(random.Random(3), 2000, Dialect.CRP2)
+    program = parse(text, Dialect.CRP2)
+    assert len(program.rules) == 2000 and not made
+    bad = text[: len(text) // 2] + "#" + text[len(text) // 2 :]
+    with pytest.raises(ParseError) as err:
+        parse(bad, Dialect.CRP2)
+    assert len(made) == 1 and err.value.span.start == len(text) // 2
+
+
+if __name__ == "__main__":
+    # regenerate the goldens: PYTHONPATH=src python tests/test_parser.py
+    PARSE.mkdir(exist_ok=True)
+    for d in Dialect:
+        (PARSE / ("%s.txt" % d.value)).write_text(_parse_goldens(d))

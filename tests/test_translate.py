@@ -4,8 +4,9 @@ import pytest
 
 import goldens
 from conftest import tokens
+from lpodc import translate
 from lpodc.lpod import Criterion
-from lpodc.model import Dialect, canonicalize
+from lpodc.model import Dialect, Term, canonicalize
 from lpodc.parser import parse
 from lpodc.translate import (
     ChoiceExpr,
@@ -16,6 +17,7 @@ from lpodc.translate import (
     crp2asp,
     emit,
     lpod2asp_base,
+    lpod2asp_criterion,
     lpod2asp_pref,
     parse_emitted,
 )
@@ -279,3 +281,25 @@ def test_crp_without_ordered_or_prefer_has_no_dominate_rules():
     assert ":- ap(X1), ap(Y1)" not in text
     # candidate mirrors ap via the empty dominate relation
     assert "candidate(X1) :- ap(X1), {dominate(P,ap(X1))}0." in text
+
+
+def test_criterion_layers_build_no_ap_terms(pi2, pi3p, monkeypatch):
+    # the P/P1/P2 domain is the tuple space; only a grounder enumerating it
+    # makes its ap terms, and the emitted text never does
+    made = []
+
+    class CountingTerm(Term):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(translate, "Term", CountingTerm)
+    base = lpod2asp_base(pi2)
+    for criterion in Criterion:
+        doc = lpod2asp_criterion(base, criterion)
+        emit(doc)
+        assert made == [], criterion
+    emit(crp2asp(pi3p))
+    assert made == []
+    ((_, domain),) = [d for d in doc.statements[-1].var_domains if d[0] == "P"]
+    assert len(list(domain)) == len(base.tuple_space()) == len(made)
