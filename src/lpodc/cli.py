@@ -38,15 +38,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, criterion=True):
+    sp_translate = sub.add_parser("translate", help="emit the standard-ASP translation")
+    sp_solve = sub.add_parser("solve", help="print candidate and preferred answer sets")
+    sp_check = sub.add_parser("check", help="cross-check reference semantics against the translation")
+    for sp in (sp_translate, sp_solve, sp_check):
         sp.add_argument("input", nargs="?", metavar="INPUT", help="input file (default: stdin)")
         sp.add_argument("--dialect", choices=["lpod", "crp2"], help="input dialect (default: from file extension)")
-        if criterion:
-            sp.add_argument(
-                "--criterion",
-                choices=[c.value for c in lpod.Criterion],
-                help="preference criterion (lpod only; default: all four)",
-            )
+        sp.add_argument(
+            "--criterion",
+            choices=[c.value for c in lpod.Criterion],
+            help="preference criterion (lpod only; default: all four)",
+        )
+    for sp in (sp_solve, sp_check):
         sp.add_argument(
             "--cap",
             type=int,
@@ -54,20 +57,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="most atoms the input program may have (default 24, env LPODC_CAP); "
             "the per-tuple and host-program searches have no cap",
         )
+    for sp in (sp_translate, sp_solve):
         sp.add_argument("-o", "--output", metavar="FILE", help="write output here instead of stdout")
-        sp.add_argument("--format", choices=["text", "json"], default="text")
-
-    sp_translate = sub.add_parser("translate", help="emit the standard-ASP translation")
-    common(sp_translate)
-    sp_solve = sub.add_parser("solve", help="print candidate and preferred answer sets")
-    common(sp_solve)
+    sp_solve.add_argument("--format", choices=["text", "json"], default="text")
     sp_solve.add_argument(
         "--dump-ground",
         metavar="FILE",
         help="also write the per-tuple ground translation (debugging)",
     )
-    sp_check = sub.add_parser("check", help="cross-check reference semantics against the translation")
-    common(sp_check)
     sp_check.add_argument("--random", type=int, metavar="N", help="check N seeded random programs instead of a file")
     sp_check.add_argument("--seed", type=int, default=0, help="seed for --random")
     return ap
@@ -91,10 +88,14 @@ def _resolve_cap(args) -> int:
 
 def _resolve_dialect(args) -> Dialect:
     if args.dialect:
-        return Dialect.LPOD if args.dialect == "lpod" else Dialect.CRP2
-    if args.input and args.input.endswith(".crp"):
-        return Dialect.CRP2
-    return Dialect.LPOD
+        dialect = Dialect.LPOD if args.dialect == "lpod" else Dialect.CRP2
+    elif args.input and args.input.endswith(".crp"):
+        dialect = Dialect.CRP2
+    else:
+        dialect = Dialect.LPOD
+    if dialect is Dialect.CRP2 and args.criterion:
+        raise InputError("--criterion applies to lpod inputs only")
+    return dialect
 
 
 def _read_input(args) -> str:
@@ -106,9 +107,6 @@ def _read_input(args) -> str:
 
 def _load_program(args):
     dialect = _resolve_dialect(args)
-    if dialect is Dialect.CRP2 and getattr(args, "criterion", None):
-        print("error: --criterion applies to lpod inputs only", file=sys.stderr)
-        return None
     text = _read_input(args)
     program = parse(text, dialect)
     report = validate_program(program)
@@ -128,7 +126,7 @@ def _write(args, text: str) -> None:
 
 
 def _criteria(args):
-    if getattr(args, "criterion", None):
+    if args.criterion:
         return [lpod.Criterion(args.criterion)]
     return list(lpod.Criterion)
 
@@ -267,9 +265,6 @@ def cmd_check(args) -> int:
     if args.random is not None:
         rng = random.Random(args.seed)
         dialect = _resolve_dialect(args)
-        if dialect is Dialect.CRP2 and args.criterion:
-            print("error: --criterion applies to lpod inputs only", file=sys.stderr)
-            return EXIT_INPUT
         criteria = _criteria(args) if dialect is Dialect.LPOD else None
         for i in range(args.random):
             if dialect is Dialect.LPOD:

@@ -33,7 +33,7 @@ from .engine import (
     GroundRule,
     answer_sets,
 )
-from .lpod import regular_ground_rules
+from .lpod import _ground_literal_sets, regular_ground_rules
 from .model import Atom, Dialect, Program, RuleKind, Term
 
 
@@ -112,8 +112,7 @@ def build_hpi(p: Program) -> GroundProgram:
         raise ValueError("the host construction is defined for the crp2 dialect")
     rules = regular_ground_rules(p)
     for r in p.nonregular_rules:
-        pos = frozenset(l.atom for l in r.body if not l.negated)
-        neg = frozenset(l.atom for l in r.body if l.negated)
+        pos, neg = _ground_literal_sets(r.body)
         if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR):
             pos = pos | {appl(r.index)}
         if r.kind is RuleKind.CR:
@@ -244,8 +243,7 @@ def crp_assumption_programs(p: Program) -> dict:
             x = xs[r.index - 1]
             if x == 0:
                 continue
-            pos = frozenset(l.atom for l in r.body if not l.negated)
-            neg = frozenset(l.atom for l in r.body if l.negated)
+            pos, neg = _ground_literal_sets(r.body)
             rules.append(GroundRule(head=r.head_atoms[x - 1], pos=pos, neg=neg))
         for r1, r2 in prefer_pairs:
             rules.append(GroundRule(head=Atom("prefer", (r1, r2))))

@@ -89,12 +89,7 @@ class WeakConstraint:
     weight: int = 0
     terms: tuple = ()
 
-    def body_holds(self, interp: frozenset) -> bool:
-        return (
-            self.pos <= interp
-            and not (self.neg & interp)
-            and all(agg.holds(interp) for agg in self.aggregates)
-        )
+    body_holds = GroundRule.body_holds
 
 
 @dataclass(frozen=True)

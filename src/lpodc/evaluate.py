@@ -13,13 +13,14 @@ same templates instantiated as a `GroundProgram`, is the reference. The
 cross-tuple layer (preference / dominance / candidate / preferred) is then
 evaluated bottom-up over the collected facts in dependency order: each
 statement runs once after every statement that defines a predicate it
-reads, and only a positive cycle would be iterated to its fixpoint. Each
-body is compiled once per evaluation into a plan in the join order of
-`_join`, the walker that grounding uses; its literals look rows up
-through indexes on their bound arguments, and counts of comparisons are
-computed directly. Every LPOD criterion document shares the tuple layer
-of the base translation, so that layer is solved once (`eval_lpod` on the
-base document) and each criterion is evaluated over it
+reads, and only a positive cycle would be iterated to its fixpoint. One
+body walker serves both layers: `_plan` compiles a body once into its join
+order, and grounds it (literals become atoms of the final binding, counts
+over atoms engine aggregates) or evaluates it over the relations (literals
+look rows up through indexes on their bound arguments, counts of
+comparisons are computed directly). Every LPOD criterion document shares
+the tuple layer of the base translation, so that layer is solved once
+(`eval_lpod` on the base document) and each criterion is evaluated over it
 (`with_criterion`). A monolithic grounder for the whole document is kept
 for consistency checks and debug dumps.
 """
@@ -171,115 +172,185 @@ def _inputs(it, relational: bool, outer) -> frozenset:
     return frozenset(vs)
 
 
-def _join(items, env: dict, consts, domains, outer=frozenset()):
-    """Yield (binding, aggregates) for every way to ground the body items.
+def _plan(items, bound, outer, domains, consts, table, out):
+    """Compile body items into a function of a binding of the variables
+    `bound` that calls `out(env, aggregates)` once per way to satisfy them.
 
-    Items run in join order: the next one is the first whose inputs are
-    bound. `V = e`, `V = lo..hi` and `V = #count{...}` bind an unbound V;
-    when no item can run, the first unbound input of the first pending item
-    is enumerated from its declared domain, and after the last item so are
-    the `outer` variables still unbound. Literals neither bind nor filter
-    (the atom is built from the final binding), and a count over
-    non-constant elements becomes an engine aggregate, in body order. The
-    relational layer compiles the same order once per statement (`_plan`).
+    The one body walker: it grounds a body when `table` is None and
+    evaluates it over the relations of `table` otherwise. Items run in join
+    order: the next one is the first whose inputs are bound; when none can
+    run, the first unbound input of the first pending item is enumerated
+    from its declared domain, and after the last item so are the `outer`
+    variables still unbound. The order depends only on the variables bound
+    on entry, so it is fixed here once. `V = e`, `V = lo..hi` and
+    `V = #count{...}` bind an unbound V. Over relations, a positive literal
+    with unbound plain variables binds them from its rows, looked up on its
+    bound positions, and any other literal tests membership; `aggregates`
+    is empty. When grounding, a literal neither binds nor filters (the atom
+    is built from the final binding), and a count over non-constant
+    elements becomes an engine aggregate, passed in body order.
     """
-    inputs = [_inputs(it, False, outer) for it in items]
-
-    def step(pending, env, aggs):
-        for pos, k in enumerate(pending):
-            if env.keys() >= inputs[k]:
-                break
-        else:
-            free = [v for v in (inputs[pending[0]] if pending else outer) if v not in env]
+    inputs = [_inputs(it, table is not None, outer) for it in items]
+    pending, bound, steps = list(range(len(items))), set(bound), []
+    while True:
+        k = next((k for k in pending if inputs[k] <= bound), None)
+        if k is None:
+            free = (inputs[pending[0]] if pending else outer) - bound
             if not free:
-                yield env, tuple(agg for _, agg in sorted(aggs))
-                return
-            var = min(free)
-            if var not in domains:
-                raise KeyError("no domain for variable %s" % var)
-            for value in domains[var]:
-                yield from step(pending, {**env, var: value}, aggs)
-            return
+                break
+            it = min(free)
+            if it not in domains:
+                raise KeyError("no domain for variable %s" % it)
+            steps.append((it, domains[it]))
+            bound.add(it)
+            continue
+        pending.remove(k)
         it = items[k]
-        rest = pending[:pos] + pending[pos + 1 :]
-        if isinstance(it, Lit):
-            yield from step(rest, env, aggs)
-        elif isinstance(it, Cmp):
-            if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
-                yield from step(rest, {**env, it.lhs.name: _eval(it.rhs, env, consts)}, aggs)
-            elif _CMP[it.op](_eval(it.lhs, env, consts), _eval(it.rhs, env, consts)):
-                yield from step(rest, env, aggs)
-        elif isinstance(it, RangeBind):
-            lo, hi = _eval(it.lo, env, consts), _eval(it.hi, env, consts)
-            name = it.var.name
-            if name not in env:
-                for v in range(lo, hi + 1):
-                    yield from step(rest, {**env, name: v}, aggs)
-            elif lo <= env[name] <= hi:
-                yield from step(rest, env, aggs)
+        if isinstance(it, CountExpr):
+            steps.append((it, (k, _count(it.elements, bound, domains, consts, table))))
+        elif isinstance(it, Lit) and table is None:
+            continue
+        elif isinstance(it, Lit) and not it.neg and not _item_vars(it, set()) <= bound:
+            unbound, same = {}, []
+            for i, a in enumerate(it.args):
+                if isinstance(a, Var) and a.name not in bound:
+                    if a.name in unbound:
+                        same.append((i, unbound[a.name]))
+                    unbound.setdefault(a.name, i)
+            keyed = tuple(i for i, a in enumerate(it.args) if not (isinstance(a, Var) and a.name in unbound))
+            spec = (it.pred, len(it.args), keyed)
+            steps.append((it, (spec, [it.args[i] for i in keyed], same, tuple(unbound.items()))))
         else:
-            atoms, n = _elements(it.elements, env, consts, domains)
+            steps.append((it, None))
+        _item_vars(it, bound)
+    last = len(steps)
+
+    def run(i, env, aggs):
+        if i == last:
+            out(env, tuple([agg for _, agg in sorted(aggs)]) if aggs else ())
+            return
+        it, how = steps[i]
+        if isinstance(it, str):
+            for value in how:
+                run(i + 1, {**env, it: value}, aggs)
+        elif isinstance(it, Lit):
+            if how is None:
+                if (_args(it, env, consts) in table.rows.get(it.pred, ())) != it.neg:
+                    run(i + 1, env, aggs)
+                return
+            spec, keyed, same, binds = how
+            for row in table.index(spec).get(tuple([_eval(a, env, consts) for a in keyed]), ()):
+                if all(row[j] == row[k] for j, k in same):
+                    env2 = env.copy()
+                    for name, j in binds:
+                        env2[name] = row[j]
+                    run(i + 1, env2, aggs)
+        elif isinstance(it, Cmp):
+            rhs = _eval(it.rhs, env, consts)
+            if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
+                run(i + 1, {**env, it.lhs.name: rhs}, aggs)
+            elif _CMP[it.op](_eval(it.lhs, env, consts), rhs):
+                run(i + 1, env, aggs)
+        elif isinstance(it, RangeBind):
+            lo, hi, name = _eval(it.lo, env, consts), _eval(it.hi, env, consts), it.var.name
+            if name not in env:
+                for value in range(lo, hi + 1):
+                    run(i + 1, {**env, name: value}, aggs)
+            elif lo <= env[name] <= hi:
+                run(i + 1, env, aggs)
+        else:
+            k, count = how
+            atoms, n = count(env)
             if it.bind is not None:
                 if atoms:
                     raise ValueError("count assignment over non-constant elements")
-                name = it.bind.name
-                if name not in env:
-                    yield from step(rest, {**env, name: n}, aggs)
-                elif env[name] == n:
-                    yield from step(rest, env, aggs)
+                if it.bind.name not in env:
+                    run(i + 1, {**env, it.bind.name: n}, aggs)
+                elif env[it.bind.name] == n:
+                    run(i + 1, env, aggs)
                 return
             lower, upper = _bound(it.lower, env, consts), _bound(it.upper, env, consts)
             if atoms:
                 agg = CountAggregate(atoms=frozenset(atoms), fixed=n, lower=lower, upper=upper)
-                yield from step(rest, env, aggs + ((k, agg),))
+                run(i + 1, env, aggs + ((k, agg),))
             elif (lower is None or n >= lower) and (upper is None or n <= upper):
-                yield from step(rest, env, aggs)
+                run(i + 1, env, aggs)
 
-    yield from step(tuple(range(len(items))), env, ())
+    return lambda env: run(0, env, ())
 
 
-def _elements(elements, env, consts, domains):
-    """Aggregate or choice elements under one binding: the atoms of literal
-    elements, and how many comparison instances hold."""
-    atoms, n = set(), 0
+def _count(elements, bound, domains, consts, table):
+    """Count elements as a function of a binding of the variables `bound`
+    that returns (atoms, n): n counts one per satisfying binding of a
+    comparison and, over relations, one per distinct matching row of a
+    literal; when grounding, the distinct atoms of literal elements are
+    returned instead. Unconditional comparisons of bound variables are
+    evaluated directly."""
+    if all(isinstance(el.item, Cmp) and not el.conds and _item_vars(el.item, set()) <= bound for el in elements):
+        cmps = [el.item for el in elements]
+        return lambda env: ((), sum([_CMP[c.op](_eval(c.lhs, env, consts), _eval(c.rhs, env, consts)) for c in cmps]))
+    parts = []
     for el in elements:
-        for env2, _ in _join(el.conds + (el.item,), env, consts, domains):
-            if isinstance(el.item, Cmp):
-                n += 1
+        if isinstance(el.item, Cmp):
+            hits = []
+            out = lambda env, aggs, hits=hits: hits.append(env)
+        else:
+            hits, make = set(), _atom if table is None else _args
+            out = lambda env, aggs, hits=hits, lit=el.item, make=make: hits.add(make(lit, env, consts))
+        run = _plan(el.conds + (el.item,), bound, frozenset(), domains, consts, table, out)
+        parts.append((hits, table is None and isinstance(el.item, Lit), run))
+
+    def count(env):
+        atoms, n = set(), 0
+        for hits, grounds, run in parts:
+            hits.clear()
+            run(env)
+            if grounds:
+                atoms |= hits
             else:
-                atoms.add(_atom(el.item, env2, consts))
-    return atoms, n
+                n += len(hits)
+        return atoms, n
+
+    return count
 
 
-def _ground_statement(stmt, doc: AspDocument, fixed: dict):
-    """Yield engine rules / weak constraints for one statement."""
+def _ground_statement(stmt, doc: AspDocument, fixed: dict) -> list:
+    """The engine rules / weak constraints of one statement: one plan for
+    the body, and one count for the elements of a choice head."""
     if isinstance(stmt, FactPoolStmt):
-        for v in stmt.values:
-            yield GroundRule(head=Atom(stmt.pred, (v,)))
-        return
+        return [GroundRule(head=Atom(stmt.pred, (v,))) for v in stmt.values]
     consts = dict(doc.constants)
     domains = dict(stmt.var_domains)
+    outer = _outer_vars(stmt)
     lits = [it for it in stmt.body if isinstance(it, Lit)]
-    for env, aggs in _join(stmt.body, fixed, consts, domains, _outer_vars(stmt)):
+    head = getattr(stmt, "head", None)
+    if isinstance(head, ChoiceExpr):
+        choice = _count(head.elements, fixed.keys() | outer, domains, consts, None)
+    objs = []
+
+    def out(env, aggs):
         pos = frozenset(_atom(l, env, consts) for l in lits if not l.neg)
         neg = frozenset(_atom(l, env, consts) for l in lits if l.neg)
         if isinstance(stmt, WeakStmt):
             terms = tuple(_eval(t, env, consts) for t in stmt.terms)
-            yield WeakConstraint(pos=pos, neg=neg, aggregates=aggs, weight=stmt.weight, terms=terms)
-            continue
-        head = stmt.head
-        if isinstance(head, Lit):
-            head = _atom(head, env, consts)
-        elif head is not None:
-            atoms, n = _elements(head.elements, env, consts, domains)
+            objs.append(WeakConstraint(pos=pos, neg=neg, aggregates=aggs, weight=stmt.weight, terms=terms))
+            return
+        h = head
+        if isinstance(h, Lit):
+            h = _atom(h, env, consts)
+        elif h is not None:
+            atoms, n = choice(env)
             if n:
                 raise ValueError("constant elements in a choice head")
-            head = ChoiceHead(
+            h = ChoiceHead(
                 atoms=tuple(sorted(atoms, key=Atom.sort_key)),
                 lower=_bound(head.lower, env, consts),
                 upper=_bound(head.upper, env, consts),
             )
-        yield GroundRule(head=head, pos=pos, neg=neg, aggregates=aggs)
+        objs.append(GroundRule(head=h, pos=pos, neg=neg, aggregates=aggs))
+
+    _plan(stmt.body, fixed.keys(), outer, domains, consts, None, out)(fixed)
+    return objs
 
 
 def _ground(doc: AspDocument, statements, fixed: dict) -> GroundProgram:
@@ -558,125 +629,6 @@ class _Relations:
         return index
 
 
-def _plan(items, bound, outer, domains, consts, table, out):
-    """Compile body items into a function of a binding of the variables
-    `bound` that calls `out` once per way to satisfy them over `table`.
-
-    The items run in `_join`'s order, which depends only on the variables
-    bound on entry, so it is fixed here once. A positive literal with
-    unbound plain variables binds them from its rows, looked up on its
-    bound positions; any other literal tests membership.
-    """
-    inputs = [_inputs(it, True, outer) for it in items]
-    pending, bound, steps = list(range(len(items))), set(bound), []
-    while True:
-        k = next((k for k in pending if inputs[k] <= bound), None)
-        if k is None:
-            free = (inputs[pending[0]] if pending else outer) - bound
-            if not free:
-                break
-            it = min(free)
-            if it not in domains:
-                raise KeyError("no domain for variable %s" % it)
-            steps.append((it, domains[it]))
-            bound.add(it)
-            continue
-        pending.remove(k)
-        it = items[k]
-        if isinstance(it, CountExpr):
-            steps.append((it, _count(it.elements, bound, domains, consts, table)))
-        elif isinstance(it, Lit) and not it.neg and not _item_vars(it, set()) <= bound:
-            unbound, same = {}, []
-            for i, a in enumerate(it.args):
-                if isinstance(a, Var) and a.name not in bound:
-                    if a.name in unbound:
-                        same.append((i, unbound[a.name]))
-                    unbound.setdefault(a.name, i)
-            keyed = tuple(i for i, a in enumerate(it.args) if not (isinstance(a, Var) and a.name in unbound))
-            spec = (it.pred, len(it.args), keyed)
-            steps.append((it, (spec, [it.args[i] for i in keyed], same, tuple(unbound.items()))))
-        else:
-            steps.append((it, None))
-        _item_vars(it, bound)
-    last = len(steps)
-
-    def run(i, env):
-        if i == last:
-            out(env)
-            return
-        it, how = steps[i]
-        if isinstance(it, str):
-            for value in how:
-                run(i + 1, {**env, it: value})
-        elif isinstance(it, Lit):
-            if how is None:
-                if (_args(it, env, consts) in table.rows.get(it.pred, ())) != it.neg:
-                    run(i + 1, env)
-                return
-            spec, keyed, same, binds = how
-            for row in table.index(spec).get(tuple([_eval(a, env, consts) for a in keyed]), ()):
-                if all(row[j] == row[k] for j, k in same):
-                    env2 = env.copy()
-                    for name, j in binds:
-                        env2[name] = row[j]
-                    run(i + 1, env2)
-        elif isinstance(it, Cmp):
-            rhs = _eval(it.rhs, env, consts)
-            if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
-                run(i + 1, {**env, it.lhs.name: rhs})
-            elif _CMP[it.op](_eval(it.lhs, env, consts), rhs):
-                run(i + 1, env)
-        elif isinstance(it, RangeBind):
-            lo, hi, name = _eval(it.lo, env, consts), _eval(it.hi, env, consts), it.var.name
-            if name not in env:
-                for value in range(lo, hi + 1):
-                    run(i + 1, {**env, name: value})
-            elif lo <= env[name] <= hi:
-                run(i + 1, env)
-        else:
-            n = how(env)
-            if it.bind is not None:
-                if it.bind.name not in env:
-                    run(i + 1, {**env, it.bind.name: n})
-                elif env[it.bind.name] == n:
-                    run(i + 1, env)
-            else:
-                lower, upper = _bound(it.lower, env, consts), _bound(it.upper, env, consts)
-                if (lower is None or n >= lower) and (upper is None or n <= upper):
-                    run(i + 1, env)
-
-    return lambda env: run(0, env)
-
-
-def _count(elements, bound, domains, consts, table):
-    """Count elements as a function of a binding of the variables `bound`:
-    one per satisfying binding of a comparison, one per distinct matching
-    atom of a literal. Unconditional comparisons of bound variables are
-    evaluated directly."""
-    if all(isinstance(el.item, Cmp) and not el.conds and _item_vars(el.item, set()) <= bound for el in elements):
-        cmps = [el.item for el in elements]
-        return lambda env: sum([_CMP[c.op](_eval(c.lhs, env, consts), _eval(c.rhs, env, consts)) for c in cmps])
-    parts = []
-    for el in elements:
-        if isinstance(el.item, Lit):
-            hits = set()
-            out = lambda env, hits=hits, lit=el.item: hits.add(_args(lit, env, consts))
-        else:
-            hits = []
-            out = hits.append
-        parts.append((hits, _plan(el.conds + (el.item,), bound, frozenset(), domains, consts, table, out)))
-
-    def count(env):
-        n = 0
-        for hits, run in parts:
-            hits.clear()
-            run(env)
-            n += len(hits)
-        return n
-
-    return count
-
-
 def _components(statements) -> list:
     """The statements grouped by the strongly connected components of their
     head predicates, in dependency order, each with whether it is cyclic.
@@ -726,7 +678,7 @@ def evaluate_global_layer(doc: AspDocument, seed_relations: dict) -> dict:
                 table.rows.setdefault(s.pred, set()).update((v,) for v in s.values)
                 continue
             rows = table.rows.setdefault(s.head.pred, set())
-            out = lambda env, head=s.head, rows=rows: rows.add(_args(head, env, consts))
+            out = lambda env, aggs, head=s.head, rows=rows: rows.add(_args(head, env, consts))
             plans.append(_plan(s.body, (), _outer_vars(s), dict(s.var_domains), consts, table, out))
         while True:
             size = sum(map(len, table.rows.values()))
@@ -883,14 +835,10 @@ def sorted_key(atoms: frozenset):
 
 def render_ground_rule(r) -> str:
     """Debug-dump text for one engine rule."""
-
-    def atom(a):
-        return str(a)
-
-    parts = [atom(a) for a in sorted(r.pos, key=Atom.sort_key)]
-    parts += ["not " + atom(a) for a in sorted(r.neg, key=Atom.sort_key)]
+    parts = [str(a) for a in sorted(r.pos, key=Atom.sort_key)]
+    parts += ["not %s" % a for a in sorted(r.neg, key=Atom.sort_key)]
     for agg in r.aggregates:
-        inner = "; ".join(atom(a) for a in sorted(agg.atoms, key=Atom.sort_key))
+        inner = "; ".join(str(a) for a in sorted(agg.atoms, key=Atom.sort_key))
         lo = str(agg.lower) if agg.lower is not None else ""
         hi = str(agg.upper) if agg.upper is not None else ""
         fixed = "+%d" % agg.fixed if agg.fixed else ""
@@ -902,12 +850,12 @@ def render_ground_rule(r) -> str:
     if r.head is None:
         return ":- %s." % body
     if isinstance(r.head, ChoiceHead):
-        inner = "; ".join(atom(a) for a in r.head.atoms)
+        inner = "; ".join(str(a) for a in r.head.atoms)
         lo = str(r.head.lower) if r.head.lower is not None else ""
         hi = str(r.head.upper) if r.head.upper is not None else ""
         head = "%s{%s}%s" % (lo, inner, hi)
     else:
-        head = atom(r.head)
+        head = str(r.head)
     return "%s :- %s." % (head, body) if body else "%s." % head
 
 

@@ -272,19 +272,19 @@ def validate_program(p: Program) -> ValidationReport:
                 bad("empty-choice-bounds", "choice lower bound %d exceeds upper bound %d" % (lo, up))
         if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR) and p.dialect is not Dialect.CRP2:
             bad("cr-rule-dialect", "cr-rules are only allowed in the crp2 dialect")
-        for atom in r.atoms():
-            hit = _reserved(atom.predicate, len(atom.args), p.dialect, is_prefer_fact=False)
-            if hit:
-                bad("reserved-predicate", "reserved predicate %s" % hit)
-            if not IDENT_RE.match(atom.predicate):
-                bad("bad-predicate", "predicate %r is not a valid identifier" % atom.predicate)
-            for arg in atom.args:
-                if isinstance(arg, str) and not IDENT_RE.match(arg):
-                    # ASP would read it as a variable, not a constant
-                    bad("bad-constant", "argument %r of %s is not a valid constant" % (arg, atom))
-            if p.dialect is Dialect.LPOD and "maxdegree" in atom.args:
-                # the criterion layers declare #const maxdegree, which would rename it
-                bad("reserved-constant", "constant maxdegree is reserved in lpod programs: %s" % atom)
+    for atom in dict.fromkeys(a for r in p.rules for a in r.atoms()):
+        hit = _reserved(atom.predicate, len(atom.args), p.dialect, is_prefer_fact=False)
+        if hit:
+            bad("reserved-predicate", "reserved predicate %s" % hit)
+        if not IDENT_RE.match(atom.predicate):
+            bad("bad-predicate", "predicate %r is not a valid identifier" % atom.predicate)
+        for arg in atom.args:
+            if isinstance(arg, str) and not IDENT_RE.match(arg):
+                # ASP would read it as a variable, not a constant
+                bad("bad-constant", "argument %r of %s is not a valid constant" % (arg, atom))
+        if p.dialect is Dialect.LPOD and "maxdegree" in atom.args:
+            # the criterion layers declare #const maxdegree, which would rename it
+            bad("reserved-constant", "constant maxdegree is reserved in lpod programs: %s" % atom)
     if p.prefer_facts and p.dialect is not Dialect.CRP2:
         bad("prefer-dialect", "prefer facts are only allowed in the crp2 dialect")
     preferred_to: dict = {}

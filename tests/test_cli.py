@@ -242,6 +242,32 @@ def test_argument_variable_rejected():
         assert out.stdout == ""
 
 
+def test_each_distinct_bad_atom_reported_once():
+    text = "a * b.\nx :- ap.\ny :- ap, not ap.\nz(C) :- a.\nw :- z(C).\n"
+    out = run(["check", "--dialect", "lpod"], stdin=text)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        "error: reserved predicate ap",
+        "error: argument 'C' of z(C) is not a valid constant",
+    ]
+
+
+def test_options_a_command_does_not_read_are_rejected():
+    # translate solves nothing and check prints only its verdict lines
+    for args in (["translate", "--cap", "3"], ["translate", "--format", "json"], ["check", "--format", "json"]):
+        out = run(args + ["programs/pi1.lpod"])
+        assert out.returncode == 2, args
+        assert "unrecognized arguments" in out.stderr
+        assert out.stdout == ""
+
+
+def test_check_random_rejects_criterion_for_crp():
+    out = run(["check", "--random", "2", "--dialect", "crp2", "--criterion", "pareto"])
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: --criterion applies to lpod inputs only"]
+    assert out.stdout == ""
+
+
 def test_check_random_negative_count_rejected():
     out = run(["check", "--random", "-3", "--dialect", "lpod"])
     assert out.returncode == 2

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import name_sets
+from conftest import load_program, name_sets
 from lpodc import crp as crp_semantics
 from lpodc import evaluate, lpod
 from lpodc.engine import GroundProgram, optimal_answer_sets
@@ -267,9 +267,11 @@ GROUND = Path(__file__).resolve().parent / "ground"
 
 
 def _tuple_sections(text: str) -> dict:
-    """`% tuple` sections of a ground dump, each as a sorted list of lines:
-    the set of ground rules is fixed, the order they come out in is not."""
+    """`% tuple` sections of a ground dump, each as a sorted list of lines
+    (a monolithic dump is the one section before any header): the set of
+    ground rules is fixed, the order they come out in is not."""
     sections = {}
+    current = sections.setdefault("", [])
     for line in text.splitlines():
         if line.startswith("% tuple"):
             current = sections.setdefault(line, [])
@@ -278,10 +280,29 @@ def _tuple_sections(text: str) -> dict:
     return {head: sorted(lines) for head, lines in sections.items()}
 
 
+def _ground_dumps(pi1, pi3p) -> dict:
+    """Ground dumps by golden file name: per tuple for the pi1 base, pi3p
+    and a seeded `random_lpod_args` base (a folded choice p(P,..): P=1..k),
+    monolithic for pi1 under each criterion and for pi3p (count aggregates
+    with conditions, count assignments and choice heads)."""
+    dumps = {
+        "pi1_base.txt": dump_ground(lpod2asp_base(pi1)),
+        "pi3p.txt": dump_ground(crp2asp(pi3p)),
+        "args1_base.txt": dump_ground(lpod2asp_base(random_lpod_args(random.Random(1)))),
+        "pi3p_monolithic.txt": dump_ground(crp2asp(pi3p), per_tuple=False),
+    }
+    for criterion in Criterion:
+        doc = lpod2asp_pref(pi1, criterion)
+        dumps["pi1_%s_monolithic.txt" % criterion.value] = dump_ground(doc, per_tuple=False)
+    return dumps
+
+
 def test_dump_ground_matches_goldens(pi1, pi3p):
-    for doc, name in ((lpod2asp_base(pi1), "pi1_base.txt"), (crp2asp(pi3p), "pi3p.txt")):
+    dumps = _ground_dumps(pi1, pi3p)
+    for name, text in dumps.items():
         golden = (GROUND / name).read_text()
-        assert _tuple_sections(dump_ground(doc)) == _tuple_sections(golden)
+        assert _tuple_sections(text) == _tuple_sections(golden), name
+    assert set(dumps) == {path.name for path in GROUND.glob("*.txt")}
 
 
 def _chain(heads: tuple):
@@ -384,21 +405,25 @@ def _render_relations(relations: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_global_layer_matches_goldens(pi1, pi2, pi3, pi3p):
-    # every row of every relation is pinned, whatever evaluates the layer
-    names = set()
+def _global_relations(pi1, pi2, pi3, pi3p) -> dict:
+    """Rendered global-layer relations by golden file name."""
+    out = {}
     for name, p in (("pi1", pi1), ("pi2", pi2), ("chain332", _chain((3, 3, 2)))):
         tuples = eval_lpod(lpod2asp_base(p))
         for criterion in Criterion:
-            name_c = "%s_%s" % (name, criterion.value)
             relations = with_criterion(tuples, lpod2asp_pref(p, criterion)).relations
-            assert _render_relations(relations) == (GLOBAL / (name_c + ".txt")).read_text(), name_c
-            names.add(name_c)
+            out["%s_%s.txt" % (name, criterion.value)] = _render_relations(relations)
     for name, p in (("pi3", pi3), ("pi3p", pi3p)):
-        relations = eval_crp(crp2asp(p)).relations
-        assert _render_relations(relations) == (GLOBAL / (name + ".txt")).read_text(), name
-        names.add(name)
-    assert names == {path.stem for path in GLOBAL.glob("*.txt")}
+        out[name + ".txt"] = _render_relations(eval_crp(crp2asp(p)).relations)
+    return out
+
+
+def test_global_layer_matches_goldens(pi1, pi2, pi3, pi3p):
+    # every row of every relation is pinned, whatever evaluates the layer
+    relations = _global_relations(pi1, pi2, pi3, pi3p)
+    for name, text in relations.items():
+        assert text == (GLOBAL / name).read_text(), name
+    assert set(relations) == {path.name for path in GLOBAL.glob("*.txt")}
 
 
 def _small_reference_programs() -> list:
@@ -510,3 +535,12 @@ def test_each_global_rule_is_joined_once(pi2, monkeypatch):
         runs.clear()
         with_criterion(tuples, doc)
         assert [sum(body is s.body for body in runs) for s in rules] == [1] * len(rules), criterion
+
+
+if __name__ == "__main__":
+    # regenerate the goldens: PYTHONPATH=src python tests/test_evaluate.py
+    pi1, pi2, pi3, pi3p = map(load_program, ("pi1.lpod", "pi2.lpod", "pi3.crp", "pi3p.crp"))
+    for folder, texts in ((GROUND, _ground_dumps(pi1, pi3p)), (GLOBAL, _global_relations(pi1, pi2, pi3, pi3p))):
+        folder.mkdir(exist_ok=True)
+        for name, text in texts.items():
+            (folder / name).write_text(text)

@@ -77,6 +77,14 @@ def test_argument_constants_must_be_identifiers():
         assert validate_program(parse("a * b(c, -1, x_Y2).\n", dialect)).ok
 
 
+def test_each_distinct_atom_reported_once():
+    p = parse("a * b.\nx :- ap.\ny :- ap, not ap.\nz(C) :- a.\nw :- z(C).\n", Dialect.LPOD)
+    assert [v.message for v in validate_program(p).violations] == [
+        "reserved predicate ap",
+        "argument 'C' of z(C) is not a valid constant",
+    ]
+
+
 def test_prefer_cycle_reported():
     rules = tuple(
         Rule(kind=RuleKind.CR, head_atoms=(Atom(a),), label=label)
