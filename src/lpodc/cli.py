@@ -240,21 +240,16 @@ def cmd_solve(args) -> int:
     if program is None:
         return EXIT_INPUT
     cap = _resolve_cap(args)
-    if args.dump_ground:
-        if program.dialect is Dialect.LPOD:
-            if program.nonregular_rules:
-                doc = translate.lpod2asp_base(program)
-            else:
-                doc = None
-        else:
-            doc = translate.crp2asp(program)
-        if doc is not None:
-            with open(args.dump_ground, "w", encoding="utf-8") as fh:
-                fh.write(evaluate.dump_ground(doc))
+    # solving checks the cap, so an input over it writes no dump either
     if program.dialect is Dialect.LPOD:
-        _write(args, _solve_lpod(args, program, cap))
+        text = _solve_lpod(args, program, cap)
     else:
-        _write(args, _solve_crp(args, program, cap))
+        text = _solve_crp(args, program, cap)
+    if args.dump_ground and (program.dialect is Dialect.CRP2 or program.nonregular_rules):
+        doc = translate.lpod2asp_base(program) if program.dialect is Dialect.LPOD else translate.crp2asp(program)
+        with open(args.dump_ground, "w", encoding="utf-8") as fh:
+            fh.write(evaluate.dump_ground(doc))
+    _write(args, text)
     return EXIT_OK
 
 

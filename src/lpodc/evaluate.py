@@ -3,26 +3,28 @@
 The per-tuple statements of a document are solved for one assumption tuple
 at a time (the partial ground programs share no atoms), which keeps the
 search spaces tiny. Those statements take the tuple X1..Xm as extra
-arguments, so the per-tuple programs differ only where a statement tests
-an X_i: each statement is ground once per value of its gate, the X_i it
-compares, ranges over or computes with, with the other X_i as parameters.
-A tuple is solved on integer rows (`_solve_tuple`): the atoms of its
-templates are interned into dense ids, their rules become engine rows and
-the search runs with `ap(xs)` seeded true; `tuple_ground_program`, the
-same templates instantiated as a `GroundProgram`, is the reference. The
-cross-tuple layer (preference / dominance / candidate / preferred) is then
-evaluated bottom-up over the collected facts in dependency order: each
-statement runs once after every statement that defines a predicate it
-reads, and only a positive cycle would be iterated to its fixpoint. One
-body walker serves both layers: `_plan` compiles a body once into its join
-order, and grounds it (literals become atoms of the final binding, counts
-over atoms engine aggregates) or evaluates it over the relations (literals
-look rows up through indexes on their bound arguments, counts of
-comparisons are computed directly). Every LPOD criterion document shares
-the tuple layer of the base translation, so that layer is solved once
-(`eval_lpod` on the base document) and each criterion is evaluated over it
-(`with_criterion`). A monolithic grounder for the whole document is kept
-for consistency checks and debug dumps.
+arguments, so the per-tuple programs have the same atoms up to those
+values and differ only where a statement tests an X_i. Each statement is
+ground once per value of its gate, the X_i it compares, ranges over or
+computes with, into a template whose atoms name every X_i by its
+parameter, and compiled once into engine rows over atom ids shared by the
+whole document. A tuple's program is its templates' rows put together,
+searched with the id of `ap(X1,...,Xm)` seeded true (`_solve_tuple`);
+atoms with the tuple's values are built for its models only.
+`tuple_ground_program`, the statements ground with every X_i fixed, is the
+reference. The cross-tuple layer (preference / dominance / candidate /
+preferred) is then evaluated bottom-up over the collected facts in
+dependency order: each statement runs once after every statement that
+defines a predicate it reads, and only a positive cycle would be iterated
+to its fixpoint. One body walker serves both layers: `_plan` compiles a
+body once into its join order, and grounds it (literals become atoms of
+the final binding, counts over atoms engine aggregates) or evaluates it
+over the relations (literals look rows up through indexes on their bound
+arguments, counts of comparisons are computed directly). Every LPOD
+criterion document shares the tuple layer of the base translation, so
+that layer is solved once (`eval_lpod` on the base document) and each
+criterion is evaluated over it (`with_criterion`). A monolithic grounder
+for the whole document is kept for consistency checks and debug dumps.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from .engine import (
     GroundProgram,
     GroundRule,
     WeakConstraint,
-    mask_of,
     penalty_of_rows,
     solve_rows,
 )
-from .model import AnswerSet, Atom, Dialect, Term, _arg_key
+from .model import AnswerSet, Atom, Dialect, Term
 from .translate import (
     AspDocument,
     BinOp,
@@ -362,8 +363,9 @@ def _ground(doc: AspDocument, statements, fixed: dict) -> GroundProgram:
 
 
 class _Param:
-    """Stands for the tuple value X_{index+1} in a statement ground once
-    for every value of the X_i it does not gate on."""
+    """Stands for the tuple value X_{index+1} in the atoms of a template;
+    a document has one per index, so that equal template atoms are equal
+    keys of its id table."""
 
     __slots__ = ("index",)
 
@@ -372,6 +374,19 @@ class _Param:
 
     def __repr__(self) -> str:
         return "X%d" % (self.index + 1)
+
+
+class _Gated(int):
+    """The value of an X_{index+1} that a statement gates on: compared,
+    ranged over and computed with as the int it is, while the atoms it
+    stands in are named by the X_i's `_Param`, as in every template. An
+    atom argument computed from it would be a plain int; no statement of
+    the translations has one."""
+
+    def __new__(cls, value: int, index: int):
+        self = int.__new__(cls, value)
+        self.index = index
+        return self
 
 
 def _gate(stmt, m: int) -> tuple:
@@ -418,174 +433,75 @@ def _gate(stmt, m: int) -> tuple:
     return tuple(i for i in range(m) if "X%d" % (i + 1) in used)
 
 
-def _has_param(v) -> bool:
-    if type(v) is _Param:
-        return True
-    return type(v) is Term and any(_has_param(a) for a in v.args)
-
-
-def _subst(v, xs: tuple):
-    if type(v) is _Param:
-        return xs[v.index]
-    if type(v) is Term:
-        return Term(v.functor, tuple([_subst(a, xs) for a in v.args]))
+def _subst(v, kind: type, values: tuple):
+    """`v` (an atom, a term or a constant) with each argument of type
+    `kind` (`_Param` or `_Gated`) replaced by values[its index]."""
+    t = type(v)
+    if t is kind:
+        return values[v.index]
+    if t is Atom:
+        return Atom(v.predicate, tuple([_subst(a, kind, values) for a in v.args]))
+    if t is Term:
+        return Term(v.functor, tuple([_subst(a, kind, values) for a in v.args]))
     return v
 
 
-def _fixed_order(atoms: tuple) -> bool:
-    """Whether sorted template atoms stay sorted whatever values their
-    parameters take: each neighbour pair is told apart by its predicate,
-    its arity or its first differing argument, which holds no parameter."""
-    for a, b in zip(atoms, atoms[1:]):
-        if (a.predicate, len(a.args)) != (b.predicate, len(b.args)):
-            continue
-        u, v = next((u, v) for u, v in zip(a.args, b.args) if u != v)
-        if _has_param(u) or _has_param(v) or _arg_key(u) == _arg_key(v):
-            return False
-    return True
+def _compile(objs, params: tuple, ids: dict) -> tuple:
+    """Engine rows and weak rows (weight, terms, pos, neg, aggs) of one
+    template's ground objects, over the atom ids of `ids`: each atom is
+    named by `params` in place of its gated values and given the next id
+    on first sight."""
+
+    def mask(atoms) -> int:
+        m = 0
+        for a in atoms:
+            m |= 1 << ids.setdefault(_subst(a, _Gated, params), len(ids))
+        return m
+
+    rows, weak = [], []
+    for obj in objs:
+        body = (mask(obj.pos), mask(obj.neg), tuple((g.lower, g.upper, mask(g.atoms), g.fixed) for g in obj.aggregates))
+        if isinstance(obj, WeakConstraint):
+            weak.append((obj.weight, tuple([_subst(t, _Gated, params) for t in obj.terms])) + body)
+        elif isinstance(obj.head, ChoiceHead):
+            rows.append(((mask(obj.head.atoms), obj.head.lower, obj.head.upper),) + body)
+        else:
+            rows.append((None if obj.head is None else mask((obj.head,)),) + body)
+    return rows, weak
 
 
-class _Template:
-    """One tuple-phase statement ground for one value of its gate, with a
-    `_Param` for each other X_i, ready to be instantiated per tuple.
-
-    An instantiation first builds the distinct atoms and parameter-holding
-    terms of the template into a pool that starts with the tuple's values:
-    `values` holds (class, name, args, slots) per entry, children before
-    parents, and slot (position, k) puts pool[k] at args[position]. The
-    ground objects are kept as pool indices, which `instantiate` turns
-    into engine objects (the reference) and `rows` into engine rows.
-    """
-
-    def __init__(self, objs, m: int):
-        index = {}
-        self.values = []
-
-        def ref(v) -> int:
-            if type(v) is _Param:
-                return v.index
-            k = index.get(v)
-            if k is None:
-                name = v.predicate if type(v) is Atom else v.functor
-                slots = tuple((pos, ref(a)) for pos, a in enumerate(v.args) if _has_param(a))
-                self.values.append((type(v), name, v.args, slots))
-                k = index[v] = m + len(self.values) - 1
-            return k
-
-        def refs(atoms) -> tuple:
-            return tuple(ref(a) for a in atoms)
-
-        def aggs(obj) -> tuple:
-            return tuple((refs(g.atoms), g.fixed, g.lower, g.upper) for g in obj.aggregates)
-
-        self.rules, self.weak = [], []
-        for obj in objs:
-            body = (refs(obj.pos), refs(obj.neg), aggs(obj))
-            if isinstance(obj, WeakConstraint):
-                self.weak.append(body + (obj.weight, obj.terms))
-            elif isinstance(obj.head, ChoiceHead):
-                h = obj.head
-                head = (refs(h.atoms), h.lower, h.upper, _fixed_order(h.atoms))
-                self.rules.append(body + (head,))
-            else:
-                self.rules.append(body + (None if obj.head is None else ref(obj.head),))
-
-        self.atoms = tuple(k for k in index.values() if self.values[k - m][0] is Atom)
-
-    def pool(self, xs: tuple) -> list:
-        """The tuple's pool, with each atom as its (predicate, args) key."""
-        pool = list(xs)
-        for make, name, args, slots in self.values:
-            if slots:
-                args = list(args)
-                for pos, k in slots:
-                    args[pos] = pool[k]
-                args = tuple(args)
-            pool.append((name, args) if make is Atom else make(name, args))
-        return pool
-
-    def instantiate(self, xs: tuple, rules: list, weak: list) -> None:
-        pool = self.pool(xs)
-        for k in self.atoms:
-            pool[k] = Atom(*pool[k])
-        at = pool.__getitem__
-
-        def body(pos, neg, aggs):
-            aggs = tuple(
-                CountAggregate(atoms=frozenset(map(at, g)), fixed=fixed, lower=lower, upper=upper)
-                for g, fixed, lower, upper in aggs
-            )
-            return frozenset(map(at, pos)), frozenset(map(at, neg)), aggs
-
-        for pos, neg, aggs, head in self.rules:
-            if type(head) is tuple:
-                atoms, lower, upper, fixed_order = head
-                atoms = tuple(map(at, atoms))
-                if not fixed_order:
-                    atoms = tuple(sorted(set(atoms), key=Atom.sort_key))
-                head = ChoiceHead(atoms=atoms, lower=lower, upper=upper)
-            elif head is not None:
-                head = at(head)
-            pos, neg, aggs = body(pos, neg, aggs)
-            rules.append(GroundRule(head=head, pos=pos, neg=neg, aggregates=aggs))
-        for pos, neg, aggs, weight, terms in self.weak:
-            pos, neg, aggs = body(pos, neg, aggs)
-            terms = tuple([_subst(t, xs) for t in terms])
-            weak.append(
-                WeakConstraint(pos=pos, neg=neg, aggregates=aggs, weight=weight, terms=terms)
-            )
-
-    def rows(self, xs: tuple, bits: list, rows: list, weak: list) -> None:
-        """Append the template's rules for tuple `xs` as engine rows and its
-        weak constraints as (weight, terms, pos, neg, aggs) rows, where
-        bits[k] is the bit of the atom at pool index k."""
-        for pos, neg, aggs, head in self.rules:
-            if type(head) is tuple:
-                head = (mask_of(bits, head[0]), head[1], head[2])
-            elif head is not None:
-                head = bits[head]
-            rows.append((head,) + _body(bits, pos, neg, aggs))
-        for pos, neg, aggs, weight, terms in self.weak:
-            terms = tuple([_subst(t, xs) for t in terms])
-            weak.append((weight, terms) + _body(bits, pos, neg, aggs))
-
-
-def _body(bits: list, pos, neg, aggs) -> tuple:
-    aggs = tuple((lower, upper, mask_of(bits, g), fixed) for g, fixed, lower, upper in aggs)
-    return mask_of(bits, pos), mask_of(bits, neg), aggs
-
-
-def _templates(doc: AspDocument, xs: tuple) -> list:
-    """The templates of the tuple-phase statements for tuple `xs`, each
-    ground on first use of its gate value (see `_gate`) and kept in
-    `doc.templates`."""
-    m = len(doc.domains)
-    if not doc.templates:
-        for i, stmt in enumerate(doc.statements):
-            if stmt.phase == "tuple":
-                doc.templates[i] = (_gate(stmt, m), {})
-    out = []
-    for i, (gate, by_value) in doc.templates.items():
-        key = tuple(xs[g] for g in gate)
-        template = by_value.get(key)
+def _tuple_rows(doc: AspDocument, xs: tuple) -> tuple:
+    """The rows and weak rows of tuple `xs`'s program: the rows of each
+    tuple-phase statement's template for the tuple's value of its gate (see
+    `_gate`), compiled on first use. `doc.templates` keeps the templates by
+    statement and gate value, the document's `_Param`s and the id table,
+    which maps each template atom to its bit position in every tuple."""
+    templates = doc.templates
+    if not templates:
+        m = len(doc.domains)
+        templates["params"] = tuple(_Param(i) for i in range(m))
+        templates["ids"] = {}
+        templates["statements"] = [(s, _gate(s, m), {}) for s in doc.statements if s.phase == "tuple"]
+    params, ids = templates["params"], templates["ids"]
+    rows, weak = [], []
+    for stmt, gate, by_value in templates["statements"]:
+        value = tuple([xs[g] for g in gate])
+        template = by_value.get(value)
         if template is None:
-            fixed = {"X%d" % (g + 1): _Param(g) for g in range(m)}
-            fixed.update(("X%d" % (g + 1), xs[g]) for g in gate)
-            objs = _ground_statement(doc.statements[i], doc, fixed)
-            template = by_value[key] = _Template(objs, m)
-        out.append(template)
-    return out
+            fixed = {"X%d" % (i + 1): p for i, p in enumerate(params)}
+            fixed.update(("X%d" % (g + 1), _Gated(xs[g], g)) for g in gate)
+            template = by_value[value] = _compile(_ground_statement(stmt, doc, fixed), params, ids)
+        rows += template[0]
+        weak += template[1]
+    return rows, weak
 
 
 def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
-    """Partial ground program for one assumption tuple: the templates of
-    the tuple's statements with its values substituted, rule for rule what
-    grounding the statements for the tuple yields. The reference for
-    `_solve_tuple`, which solves the same rules as engine rows."""
-    rules, weak = [], []
-    for template in _templates(doc, xs):
-        template.instantiate(xs, rules, weak)
-    return GroundProgram(rules=tuple(rules), weak=tuple(weak))
+    """Partial ground program for one assumption tuple: the tuple-phase
+    statements ground with every X_i fixed to the tuple's value. The
+    reference for `_solve_tuple`, which solves the compiled rows."""
+    fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
+    return _ground(doc, [s for s in doc.statements if s.phase == "tuple"], fixed)
 
 
 def ground_document(doc: AspDocument) -> GroundProgram:
@@ -731,23 +647,18 @@ class EvaluatedTranslation:
 def _solve_tuple(doc: AspDocument, xs: tuple) -> list:
     """Optimal models of one tuple's program that contain its ap atom.
 
-    The tuple's templates are solved as engine rows over dense atom ids
-    with `ap(xs)` seeded true: the program's only weak constraint is its
-    instance of `:~ ap(xs). [-1]`, so its optimal models that contain
-    `ap(xs)` are its answer sets that contain it. Atoms are built for
-    those answer sets only.
+    The tuple's rows are searched with the id of `ap(X1,...,Xm)` seeded
+    true: the program's only weak constraint is its instance of
+    `:~ ap(xs). [-1]`, so its optimal models that contain `ap(xs)` are its
+    answer sets that contain it. Ids outside the tuple's rows are false as
+    unsupported. Atoms are built, with the tuple's values, for those
+    answer sets only.
     """
-    ids, rows, weak = {}, [], []
-    for template in _templates(doc, xs):
-        pool = template.pool(xs)
-        bits = [0] * len(pool)
-        for k in template.atoms:
-            bits[k] = 1 << ids.setdefault(pool[k], len(ids))
-        template.rows(xs, bits, rows, weak)
-    keys = list(ids)
-    models = []
-    for t in solve_rows(rows, len(keys), 1 << ids[("ap", xs)], 0):
-        atoms = frozenset(Atom(*keys[i]) for i in range(len(keys)) if t >> i & 1)
+    rows, weak = _tuple_rows(doc, xs)
+    ids = doc.templates["ids"]
+    keys, models = list(ids), []
+    for t in solve_rows(rows, len(keys), 1 << ids[Atom("ap", doc.templates["params"])], 0):
+        atoms = frozenset(_subst(keys[i], _Param, xs) for i in range(len(keys)) if t >> i & 1)
         models.append(AnswerSet(atoms=atoms, penalty=penalty_of_rows(weak, t)))
     return sorted(models, key=AnswerSet.sort_key)
 

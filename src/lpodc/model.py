@@ -232,15 +232,12 @@ def satisfies(atoms: frozenset, body: Iterable[Literal]) -> bool:
     return True
 
 
-def _reserved(predicate: str, arity: int, dialect: Dialect, is_prefer_fact: bool) -> Optional[str]:
+def _reserved(predicate: str, arity: int, dialect: Dialect) -> Optional[str]:
     if predicate == "prefer":
+        # prefer facts never reach here: they are kept in Program.prefer_facts
         if arity != 2:
             return "prefer with arity %d" % arity
-        if dialect is not Dialect.CRP2:
-            return "prefer"
-        if not is_prefer_fact:
-            return "prefer outside a fact"
-        return None
+        return "prefer outside a fact" if dialect is Dialect.CRP2 else "prefer"
     if predicate in RESERVED_PREDICATES or BODY_AUX_RE.match(predicate):
         return predicate
     return None
@@ -273,7 +270,7 @@ def validate_program(p: Program) -> ValidationReport:
         if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR) and p.dialect is not Dialect.CRP2:
             bad("cr-rule-dialect", "cr-rules are only allowed in the crp2 dialect")
     for atom in dict.fromkeys(a for r in p.rules for a in r.atoms()):
-        hit = _reserved(atom.predicate, len(atom.args), p.dialect, is_prefer_fact=False)
+        hit = _reserved(atom.predicate, len(atom.args), p.dialect)
         if hit:
             bad("reserved-predicate", "reserved predicate %s" % hit)
         if not IDENT_RE.match(atom.predicate):

@@ -141,9 +141,9 @@ class AspDocument:
     statements: tuple
     constants: tuple = ()  # (name, value) pairs
     criterion: Optional[str] = None
-    # ground templates of the tuple-phase statements, built by
-    # evaluate._templates on first use (and solved by evaluate._solve_tuple),
-    # freed with the document
+    # the tuple layer compiled by evaluate._tuple_rows on first use: the
+    # rows of each tuple-phase statement per gate value, and the id table
+    # of the template atoms they share; freed with the document
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tuple_space(self) -> tuple:

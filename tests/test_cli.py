@@ -299,3 +299,12 @@ def test_dump_ground_flag(tmp_path):
     rc = main(["solve", str(PROGRAMS / "pi1.lpod"), "--dump-ground", str(target), "-o", str(tmp_path / "ignore.txt")])
     assert rc == 0
     assert "% tuple" in target.read_text()
+
+
+def test_dump_ground_respects_the_cap(tmp_path, capsys):
+    target = tmp_path / "ground.lp"
+    rc = main(["solve", "--cap", "0", "--dump-ground", str(target), str(PROGRAMS / "pi1.lpod")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not target.exists()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import load_program, name_sets
 from lpodc import crp as crp_semantics
 from lpodc import evaluate, lpod
-from lpodc.engine import GroundProgram, optimal_answer_sets
+from lpodc.engine import ChoiceHead, GroundProgram, optimal_answer_sets
 from lpodc.evaluate import (
     _ground,
     _solve_tuple,
@@ -331,6 +332,51 @@ def _tuple_corpus(pi1, pi2, pi3, pi3p) -> list:
     return docs
 
 
+def _searched_rules(doc, xs) -> tuple:
+    """The rows `_solve_tuple` searches for `xs`, decoded through the id
+    table with the tuple's values substituted: multisets of (head, pos,
+    neg, aggregates) for the rules and (weight, terms, pos, neg,
+    aggregates) for the weak constraints, over atom sets."""
+    rows, weak = evaluate._tuple_rows(doc, xs)
+    atoms = [evaluate._subst(a, evaluate._Param, xs) for a in doc.templates["ids"]]
+
+    def decode(mask):
+        return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+    def body(pos, neg, aggs):
+        return decode(pos), decode(neg), tuple((lo, hi, decode(elem), fixed) for lo, hi, elem, fixed in aggs)
+
+    def head(h):
+        if type(h) is tuple:
+            return (decode(h[0]),) + h[1:]
+        return h if h is None else decode(h)
+
+    def terms(ts):
+        return tuple(evaluate._subst(t, evaluate._Param, xs) for t in ts)
+
+    return (
+        Counter((head(h),) + body(pos, neg, aggs) for h, pos, neg, aggs in rows),
+        Counter((w, terms(ts)) + body(pos, neg, aggs) for w, ts, pos, neg, aggs in weak),
+    )
+
+
+def _ground_rules(prog) -> tuple:
+    """The multisets of `_searched_rules` for a ground program."""
+
+    def body(r):
+        return r.pos, r.neg, tuple((g.lower, g.upper, g.atoms, g.fixed) for g in r.aggregates)
+
+    def head(h):
+        if isinstance(h, ChoiceHead):
+            return (frozenset(h.atoms), h.lower, h.upper)
+        return h if h is None else frozenset({h})
+
+    return (
+        Counter((head(r.head),) + body(r) for r in prog.rules),
+        Counter((w.weight, w.terms) + body(w) for w in prog.weak),
+    )
+
+
 def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
     # the reference grounds every tuple-phase statement with all X_i fixed
     docs = _tuple_corpus(pi1, pi2, pi3, pi3p)
@@ -339,9 +385,27 @@ def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
         statements = _tuple_phase(doc)
         for xs in doc.tuple_space():
             fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
-            assert tuple_ground_program(doc, xs) == _ground(doc, statements, fixed), xs
+            assert _searched_rules(doc, xs) == _ground_rules(_ground(doc, statements, fixed)), xs
             tuples += 1
     assert len(docs) == 140 and tuples > 1500
+
+
+def test_template_atoms_have_one_id_per_document(pi1, monkeypatch):
+    doc = lpod2asp_base(pi1)
+    for xs in doc.tuple_space():
+        _solve_tuple(doc, xs)
+    ids = doc.templates["ids"]
+    for pred in ("ap", "body_1"):
+        assert [str(a) for a in ids if a.predicate == pred] == ["%s(X1,X2)" % pred]
+    # body_1 is named alike by an ungated statement and one gated on X1
+    gates = {(s.tag, gate) for s, gate, _ in doc.templates["statements"]}
+    assert {("body-definition", ()), ("body-off-constraint", (0,))} <= gates
+    calls, ground = [], evaluate._ground_statement
+    monkeypatch.setattr(evaluate, "_ground_statement", lambda *args: calls.append(args) or ground(*args))
+    before = dict(ids)
+    for xs in doc.tuple_space():
+        _solve_tuple(doc, xs)
+    assert ids == before and calls == []
 
 
 def test_solve_tuple_builds_no_ground_program(pi2, monkeypatch):

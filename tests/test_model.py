@@ -35,6 +35,16 @@ def test_body_aux_predicates_reserved():
     assert not validate_program(p).ok
 
 
+def test_reserved_prefer_messages():
+    def messages(text, dialect):
+        return [v.message for v in validate_program(parse(text, dialect)).violations]
+
+    assert messages("p :- prefer(r1,r2).", Dialect.CRP2) == ["reserved predicate prefer outside a fact"]
+    for dialect in Dialect:
+        assert messages("prefer(r1).", dialect) == ["reserved predicate prefer with arity 1"]
+    assert messages("p :- prefer(a,b).", Dialect.LPOD) == ["reserved predicate prefer"]
+
+
 def test_prefer_unknown_label_reported():
     rules = (
         Rule(kind=RuleKind.CR, head_atoms=(Atom("a"),), label="r1"),
