@@ -19,6 +19,8 @@ the enumeration beyond the semantics' counts. Plain ordered rules are not
 guarded: a latent position choice on a rule whose body is false is a
 legitimate generalized answer set (projection-equivalent to the choice-free
 one) and is what lets position preferences dominate across interpretations.
+The assumption programs (one per degree tuple) share their rule objects
+and are solved in one `engine.answer_sets_each` call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .engine import (
     GroundProgram,
     GroundRule,
     answer_sets,
+    answer_sets_each,
 )
 from .lpod import _ground_literal_sets, regular_ground_rules
 from .model import Atom, Dialect, Program, RuleKind, Term
@@ -228,35 +231,24 @@ def crp_assumption_programs(p: Program) -> dict:
     """
     if p.dialect is not Dialect.CRP2:
         raise ValueError("assumption programs here are for the crp2 dialect")
-    label_index = p.label_index
-    prefer_pairs = [(label_index[a], label_index[b]) for a, b in p.prefer_facts]
-    cr_like = [
-        r.index
-        for r in p.nonregular_rules
-        if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR)
+    sigma = p.signature
+    cr_like = [r.index for r in p.nonregular_rules if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR)]
+    base = tuple(regular_ground_rules(p))
+    heads = []
+    for r in p.nonregular_rules:
+        pos, neg = _ground_literal_sets(r.body)
+        heads.append([()] + [(GroundRule(head=a, pos=pos, neg=neg),) for a in r.head_atoms])
+    closure = tuple(GroundRule(head=a) for a in _prefer_fact_atoms(p)) + tuple(_closure_rules(cr_like))
+    conflict = [
+        (r1, r2, GroundRule(head=None, pos=frozenset({Atom("isPreferred", (r1, r2))})))
+        for r1 in cr_like
+        for r2 in cr_like
     ]
-    closure_rules = _closure_rules(cr_like)
     out = {}
     for xs in p.assumption_tuples():
-        rules = regular_ground_rules(p)
-        for r in p.nonregular_rules:
-            x = xs[r.index - 1]
-            if x == 0:
-                continue
-            pos, neg = _ground_literal_sets(r.body)
-            rules.append(GroundRule(head=r.head_atoms[x - 1], pos=pos, neg=neg))
-        for r1, r2 in prefer_pairs:
-            rules.append(GroundRule(head=Atom("prefer", (r1, r2))))
-        rules.extend(closure_rules)
-        for r1 in cr_like:
-            for r2 in cr_like:
-                if xs[r1 - 1] > 0 and xs[r2 - 1] > 0:
-                    rules.append(
-                        GroundRule(
-                            head=None, pos=frozenset({Atom("isPreferred", (r1, r2))})
-                        )
-                    )
-        out[xs] = GroundProgram(rules=tuple(rules), extra_atoms=p.signature)
+        rules = base + sum((h[x] for h, x in zip(heads, xs)), ()) + closure
+        rules += tuple(c for r1, r2, c in conflict if xs[r1 - 1] and xs[r2 - 1])
+        out[xs] = GroundProgram(rules=rules, extra_atoms=sigma)
     return out
 
 
@@ -265,8 +257,8 @@ def assumption_projections(p: Program, cap: int = DEFAULT_ATOM_CAP) -> frozenset
     sigma = p.signature
     if len(sigma) > cap:
         raise CapExceeded(len(sigma), cap)
-    out = set()
-    for prog in crp_assumption_programs(p).values():
-        for s in answer_sets(prog, cap=None):
-            out.add(frozenset(a for a in s.atoms if a in sigma))
-    return frozenset(out)
+    return frozenset(
+        frozenset(a for a in s.atoms if a in sigma)
+        for sets in answer_sets_each(tuple(crp_assumption_programs(p).values()), cap=None)
+        for s in sets
+    )

@@ -7,16 +7,18 @@ aggregate is supported, which holds for everything the translator emits.
 
 The search core works on rows over atoms 0..n-1, every atom set a bit
 mask: a row is (head, pos, neg, aggs), head being None (constraint), the
-head atom's bit, or (elements, lower, upper) for a bounded choice, and aggs
-one (lower, upper, elements, fixed) per count aggregate. `answer_sets`
-compiles a `GroundProgram` into rows; the evaluator compiles its per-tuple
-templates into rows directly and seeds the assumption atom true. The
-search walks the binary assignment tree over a pair of masks (true,
-false), pruning a branch once a constraint is definitely violated and
-propagating forced values (unit constraints, unsupported atoms, cardinality
-bounds). Every complete assignment that survives is re-verified on masks
-(`is_stable`: constraints, choice bounds, least model of the reduct), so
-the search can only lose answer sets, never invent them; the object-level
+head atom's bit, or (elements, lower, upper) for a bounded choice, and
+aggs one (lower, upper, elements, fixed) per count aggregate.
+`answer_sets_each` compiles a family of `GroundProgram`s into rows over
+one atom order, each distinct rule once (`answer_sets` is the family of
+one); the evaluator compiles its per-tuple templates into rows directly
+and seeds the assumption atom true. The search walks the binary assignment
+tree over a pair of masks (true, false), pruning a branch once a
+constraint is definitely violated and propagating forced values (unit
+constraints, unsupported atoms, cardinality bounds). Every complete
+assignment that survives is re-verified on masks (`is_stable`:
+constraints, choice bounds, least model of the reduct), so the search can
+only lose answer sets, never invent them; the object-level
 `is_answer_set`, `reduct` and a plain subset enumerator are kept for
 differential testing of exactly that.
 """
@@ -356,18 +358,31 @@ def _rows(p: GroundProgram, order: list) -> list:
     return rows
 
 
+def answer_sets_each(programs, cap: Optional[int] = DEFAULT_ATOM_CAP) -> list:
+    """The answer sets of each program, as `answer_sets` gives them, searched
+    over one atom order of the union of their atoms (which the cap bounds).
+    Each distinct rule object is compiled to a row once. An atom that a
+    program does not mention is false in its answer sets as unsupported."""
+    rules = tuple({id(r): r for p in programs for r in p.rules}.values())
+    extra = frozenset().union(*(p.extra_atoms for p in programs))
+    union = GroundProgram(rules=rules, weak=tuple(w for p in programs for w in p.weak), extra_atoms=extra)
+    atoms = union.atoms
+    if cap is not None and len(atoms) > cap:
+        raise CapExceeded(len(atoms), cap)
+    order = _branch_order(union, atoms)
+    row = dict(zip(map(id, rules), _rows(union, order)))
+
+    def decode(t):
+        return AnswerSet(atoms=frozenset(a for i, a in enumerate(order) if t >> i & 1))
+
+    solved = (solve_rows([row[id(r)] for r in p.rules], len(order), 0, 0) for p in programs)
+    return [tuple(sorted(map(decode, ts), key=AnswerSet.sort_key)) for ts in solved]
+
+
 def answer_sets(p: GroundProgram, cap: Optional[int] = DEFAULT_ATOM_CAP) -> tuple:
     """All answer sets, sorted for determinism; penalties unset. A cap of
     None searches programs of any size."""
-    atoms = p.atoms
-    if cap is not None and len(atoms) > cap:
-        raise CapExceeded(len(atoms), cap)
-    order = _branch_order(p, atoms)
-    found = (
-        AnswerSet(atoms=frozenset(a for i, a in enumerate(order) if t >> i & 1))
-        for t in solve_rows(_rows(p, order), len(order), 0, 0)
-    )
-    return tuple(sorted(found, key=AnswerSet.sort_key))
+    return answer_sets_each((p,), cap)[0]
 
 
 def brute_force_answer_sets(p: GroundProgram, cap: int = 16) -> tuple:

@@ -433,6 +433,22 @@ def _gate(stmt, m: int) -> tuple:
     return tuple(i for i in range(m) if "X%d" % (i + 1) in used)
 
 
+def _drop_covering(stmt, domains: tuple):
+    """`stmt` without the choice-element conditions `X_i = lo..hi` whose
+    range covers the domain of X_i: every tuple meets them, so they would
+    only gate the statement on X_i."""
+    head = getattr(stmt, "head", None)
+    if not isinstance(head, ChoiceExpr):
+        return stmt
+    dom = {Var("X%d" % (i + 1)): set(d) for i, d in enumerate(domains)}
+
+    def covers(c):
+        return isinstance(c, RangeBind) and c.var in dom and dom[c.var] <= set(range(c.lo, c.hi + 1))
+
+    elements = tuple(replace(el, conds=tuple(c for c in el.conds if not covers(c))) for el in head.elements)
+    return replace(stmt, head=replace(head, elements=elements))
+
+
 def _subst(v, kind: type, values: tuple):
     """`v` (an atom, a term or a constant) with each argument of type
     `kind` (`_Param` or `_Gated`) replaced by values[its index]."""
@@ -481,7 +497,8 @@ def _tuple_rows(doc: AspDocument, xs: tuple) -> tuple:
         m = len(doc.domains)
         templates["params"] = tuple(_Param(i) for i in range(m))
         templates["ids"] = {}
-        templates["statements"] = [(s, _gate(s, m), {}) for s in doc.statements if s.phase == "tuple"]
+        tuple_phase = [_drop_covering(s, doc.domains) for s in doc.statements if s.phase == "tuple"]
+        templates["statements"] = [(s, _gate(s, m), {}) for s in tuple_phase]
     params, ids = templates["params"], templates["ids"]
     rows, weak = [], []
     for stmt, gate, by_value in templates["statements"]:

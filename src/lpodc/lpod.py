@@ -6,6 +6,8 @@ ordered rule replaced by one of its options) and from assumption programs
 the first true one). The two generators must agree on the original
 signature; the assumption route additionally names each candidate with the
 tuple that produced it, from which satisfaction degrees follow directly.
+Each generator shares one copy of its regular part and of each option or
+block across its programs and solves them in one `engine.answer_sets_each`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional
 
 from .engine import (
     DEFAULT_ATOM_CAP,
@@ -21,7 +22,7 @@ from .engine import (
     ChoiceHead,
     GroundProgram,
     GroundRule,
-    answer_sets,
+    answer_sets_each,
 )
 from .model import Atom, Dialect, Program, Rule, RuleKind, satisfies
 
@@ -47,10 +48,6 @@ class CandidateAnswerSet:
 
     def sort_key(self):
         return (self.assumption, tuple(sorted(a.sort_key() for a in self.atoms)))
-
-
-def _body_aux(i: int) -> Atom:
-    return Atom("body_%d" % i)
 
 
 def _ground_literal_sets(body):
@@ -90,20 +87,13 @@ def split_programs(p: Program) -> list:
     """All option combinations, regular part kept verbatim."""
     if p.dialect is not Dialect.LPOD:
         raise ValueError("split programs are defined for the lpod dialect")
-    base = regular_ground_rules(p)
-    ordered = p.nonregular_rules
-    sigma = p.signature
-    programs = []
-    for combo in product(*(range(1, r.head_size() + 1) for r in ordered)):
-        rules = list(base)
-        for r, k in zip(ordered, combo):
-            rules.append(option(r, k))
-        programs.append(GroundProgram(rules=tuple(rules), extra_atoms=sigma))
-    return programs
+    base, sigma = tuple(regular_ground_rules(p)), p.signature
+    options = [[option(r, k) for k in range(1, r.head_size() + 1)] for r in p.nonregular_rules]
+    return [GroundProgram(rules=base + combo, extra_atoms=sigma) for combo in product(*options)]
 
 
-def assumption(r: Rule, x: int, i: Optional[int] = None) -> tuple:
-    """Rule block pinning rule i's first true head atom to position x.
+def assumption(r: Rule, x: int) -> tuple:
+    """Rule block pinning ordered rule r's first true head atom to position x.
 
     x = 0 asserts the body is false; x > 0 asserts the body is true, head
     atom x is derived, and no earlier head atom is the first true one.
@@ -113,8 +103,7 @@ def assumption(r: Rule, x: int, i: Optional[int] = None) -> tuple:
     n = r.head_size()
     if not 0 <= x <= n:
         raise IndexError("assumption degree %d out of range 0..%d" % (x, n))
-    idx = r.index if i is None else i
-    aux = _body_aux(idx)
+    aux = Atom("body_%d" % r.index)
     pos, neg = _ground_literal_sets(r.body)
     rules = [GroundRule(head=aux, pos=pos, neg=neg)]
     if x == 0:
@@ -135,11 +124,14 @@ def assumption(r: Rule, x: int, i: Optional[int] = None) -> tuple:
     return tuple(rules)
 
 
-def assumption_program(p: Program, xs: tuple) -> GroundProgram:
-    rules = regular_ground_rules(p)
-    for r, x in zip(p.nonregular_rules, xs):
-        rules.extend(assumption(r, x))
-    return GroundProgram(rules=tuple(rules), extra_atoms=p.signature)
+def assumption_programs(p: Program) -> dict:
+    """One program per assumption tuple: the regular part plus `assumption(r, x_i)` per ordered rule r."""
+    base, sigma = tuple(regular_ground_rules(p)), p.signature
+    blocks = [[assumption(r, x) for x in range(r.head_size() + 1)] for r in p.nonregular_rules]
+    return {
+        xs: GroundProgram(rules=base + sum((b[x] for b, x in zip(blocks, xs)), ()), extra_atoms=sigma)
+        for xs in p.assumption_tuples()
+    }
 
 
 def degrees_from_assumption(xs: tuple) -> tuple:
@@ -169,9 +161,10 @@ def assumption_candidates(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
     if len(sigma) > cap:
         raise CapExceeded(len(sigma), cap)
     m = len(p.nonregular_rules)
+    programs = assumption_programs(p)
     found = {}
-    for xs in p.assumption_tuples():
-        for s in answer_sets(assumption_program(p, xs), cap=cap + m):
+    for xs, sets in zip(programs, answer_sets_each(tuple(programs.values()), cap=cap + m)):
+        for s in sets:
             atoms = frozenset(a for a in s.atoms if a in sigma)
             degs = degrees_from_assumption(xs)
             assert degs == degrees_from_atoms(p, atoms), "degree bookkeeping diverged"
@@ -182,11 +175,11 @@ def assumption_candidates(p: Program, cap: int = DEFAULT_ATOM_CAP) -> tuple:
 def split_candidate_projections(p: Program, cap: int = DEFAULT_ATOM_CAP) -> frozenset:
     """Sigma-projections of all split-program answer sets."""
     sigma = p.signature
-    out = set()
-    for prog in split_programs(p):
-        for s in answer_sets(prog, cap=cap):
-            out.add(frozenset(a for a in s.atoms if a in sigma))
-    return frozenset(out)
+    return frozenset(
+        frozenset(a for a in s.atoms if a in sigma)
+        for sets in answer_sets_each(split_programs(p), cap=cap)
+        for s in sets
+    )
 
 
 def _degree_index_sets(c: CandidateAnswerSet, degree: int) -> frozenset:

@@ -23,6 +23,14 @@ def _body(rng: random.Random, atoms, max_len: int = 2) -> tuple:
     )
 
 
+def _choice_rule(rng: random.Random, atoms) -> Rule:
+    """{e1; e2} with bounds lo..hi, lo in {0, 1}, over two of the atoms."""
+    elems = tuple(Atom(a) for a in rng.sample(atoms, k=2))
+    lo = rng.randint(0, 1)
+    body = _body(rng, atoms, 1)
+    return Rule(kind=RuleKind.REGULAR, head_atoms=elems, body=body, choice_bounds=(lo, rng.randint(max(lo, 1), 2)))
+
+
 def random_lpod(
     rng: random.Random,
     max_atoms: int = 4,
@@ -38,16 +46,7 @@ def random_lpod(
             rules.append(Rule(kind=RuleKind.REGULAR, head_atoms=(), body=_body(rng, atoms, 2) or (
                 Literal(Atom(rng.choice(atoms))),)))
         elif roll < 0.35 and len(atoms) >= 2:
-            elems = tuple(Atom(a) for a in rng.sample(atoms, k=2))
-            lo = rng.randint(0, 1)
-            rules.append(
-                Rule(
-                    kind=RuleKind.REGULAR,
-                    head_atoms=elems,
-                    body=_body(rng, atoms, 1),
-                    choice_bounds=(lo, rng.randint(max(lo, 1), 2)),
-                )
-            )
+            rules.append(_choice_rule(rng, atoms))
         else:
             rules.append(
                 Rule(
@@ -103,9 +102,12 @@ def random_crp(
     max_ordered: int = 1,
     max_head: int = 3,
     with_prefer: bool = True,
+    with_choice: bool = False,
 ) -> Program:
+    """A CR-Prolog2 program; `with_choice` adds one or two bounded choice
+    rules to its regular part (and draws no more numbers otherwise)."""
     atoms = list(ATOM_POOL[: rng.randint(2, max_atoms)])
-    rules = []
+    rules = [_choice_rule(rng, atoms) for _ in range(rng.randint(1, 2) if with_choice else 0)]
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.25:
             rules.append(

@@ -13,7 +13,7 @@ from lpodc.crosscheck import (
 )
 from lpodc.model import Dialect, canonicalize
 from lpodc.parser import parse
-from lpodc.randgen import random_lpod, random_lpod_args
+from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 from lpodc.translate import ChoiceExpr, RangeBind, lpod2asp_base
 
 
@@ -91,6 +91,17 @@ def test_check_crp_reports_ok(pi3p):
     assert any(
         "1 preferred answer sets, oracle == translation" in line for line in result.lines
     )
+
+
+def test_check_crp_on_programs_with_choice_rules():
+    # random_crp draws choice rules only when asked, so the other suites have none
+    rng = random.Random(20261018)
+    programs = [random_crp(rng, with_choice=True) for _ in range(100)]
+    assert sum(r.is_choice for p in programs for r in p.rules) >= 100
+    assert sum(bool(p.nonregular_rules) for p in programs) >= 90
+    for p in programs:
+        result = check_crp(p)
+        assert result.ok, result.lines
 
 
 def test_check_degenerate_lpod():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import PROGRAMS, load_program
+from lpodc import crp, lpod
 from lpodc.engine import (
     CapExceeded,
     ChoiceHead,
@@ -12,6 +14,7 @@ from lpodc.engine import (
     _branch_order,
     _rows,
     answer_sets,
+    answer_sets_each,
     brute_force_answer_sets,
     is_answer_set,
     is_stable,
@@ -20,10 +23,11 @@ from lpodc.engine import (
     reduct,
     solve_rows,
 )
-from lpodc.model import Atom
-from lpodc.randgen import random_ground_program
+from lpodc.model import Atom, Dialect, canonicalize
+from lpodc.parser import parse
+from lpodc.randgen import random_crp, random_ground_program, random_lpod, random_lpod_args
 
-A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
+A, B, C, D, E = Atom("a"), Atom("b"), Atom("c"), Atom("d"), Atom("e")
 
 
 def sets(results):
@@ -297,3 +301,76 @@ def test_fresh_definitions_induce_bijection():
         assert len(ext) == len(answer_sets(p, cap=32))
         projected = {frozenset(str(a) for a in s.atoms if a.predicate != "fresh") for s in ext}
         assert projected == base_sets
+
+
+def test_answer_sets_each_when_a_program_never_mentions_an_atom_another_defines():
+    # c is defined by the first program only: the second never mentions it
+    # and the third reads it negated, so in both it is false as unsupported;
+    # e is only an extra atom of the second
+    pick = GroundRule(head=ChoiceHead(atoms=(A, B), lower=1, upper=1))
+    family = (
+        GroundProgram(rules=(pick, GroundRule(head=C, pos=frozenset({A})))),
+        GroundProgram(rules=(pick, GroundRule(head=None, pos=frozenset({B}))), extra_atoms=frozenset({E})),
+        GroundProgram(rules=(GroundRule(head=D, neg=frozenset({C})),)),
+    )
+    solved = answer_sets_each(family)
+    assert solved == [answer_sets(p) for p in family]
+    assert [sets(r) for r in solved] == [
+        {frozenset({"a", "c"}), frozenset({"b"})},
+        {frozenset({"a"})},
+        {frozenset({"d"})},
+    ]
+    # the cap bounds the union of the atoms, e included
+    answer_sets_each(family, cap=5)
+    with pytest.raises(CapExceeded, match="program has 5 atoms, cap is 4"):
+        answer_sets_each(family, cap=4)
+
+
+def _lpod(text):
+    return canonicalize(parse(text, Dialect.LPOD))
+
+
+def _crp(text):
+    return canonicalize(parse(text, Dialect.CRP2))
+
+
+def test_oracles_raise_cap_exceeded_above_the_cap_only():
+    # |sigma| = 4 for both programs: the cap bounds sigma, as for one program
+    oracles = (
+        (lpod.split_candidate_projections, _lpod("a * b :- not c.\nc :- not d.")),
+        (lpod.assumption_candidates, _lpod("a * b :- not c.\nc :- not d.")),
+        (crp.assumption_projections, _crp("r1: a * b :+ not c.\nc :- not d.")),
+    )
+    for oracle, p in oracles:
+        assert len(p.signature) == 4
+        oracle(p, cap=4)
+        with pytest.raises(CapExceeded) as raised:
+            oracle(p, cap=3)
+        assert str(raised.value) == "program has 4 atoms, cap is 3"
+
+
+def _chain(heads):
+    """a_i * b_i [* c_i] :- not d_i. per entry of heads, plus :- a_i, a_{i+1}."""
+    lines = ["%s :- not d%d." % (" * ".join("%s%d" % (c, i) for c in "abc"[:n]), i) for i, n in enumerate(heads, 1)]
+    lines += [":- a%d, a%d." % (i, i + 1) for i in range(1, len(heads))]
+    return _lpod("\n".join(lines))
+
+
+def test_answer_sets_each_equals_answer_sets_on_the_oracle_families():
+    # every split, LPOD assumption and CR-Prolog2 assumption family, solved
+    # together and one program at a time
+    programs = [load_program(path.name) for path in sorted(PROGRAMS.iterdir())]
+    for seed, generate in ((101, random_lpod), (103, random_lpod_args), (107, random_crp)):
+        rng = random.Random(seed)
+        programs += [generate(rng) for _ in range(100)]
+    programs += [_chain(heads) for heads in ((2,), (3, 2), (2, 3, 3), (3, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))]
+    families = 0
+    for p in programs:
+        if p.dialect is Dialect.LPOD:
+            found = [lpod.split_programs(p), list(lpod.assumption_programs(p).values())]
+        else:
+            found = [list(crp.crp_assumption_programs(p).values())]
+        for family in found:
+            assert answer_sets_each(family, cap=None) == [answer_sets(q, cap=None) for q in family]
+            families += 1
+    assert len(programs) == 310 and families == 518

@@ -408,6 +408,16 @@ def test_template_atoms_have_one_id_per_document(pi1, monkeypatch):
     assert ids == before and calls == []
 
 
+def test_assumption_choice_is_ground_once_per_document(pi1):
+    # its X_i = lo..hi conditions cover the domains of the X_i, so they
+    # gate nothing and every tuple shares the one template
+    for p in (pi1, _chain((3, 3, 3))):
+        doc = lpod2asp_base(p)
+        eval_lpod(doc)
+        templates = [by_value for s, _, by_value in doc.templates["statements"] if s.tag == "assumption-choice"]
+        assert [len(by_value) for by_value in templates] == [1]
+
+
 def test_solve_tuple_builds_no_ground_program(pi2, monkeypatch):
     calls = []
     atoms = GroundProgram.atoms.fget
