@@ -8,29 +8,32 @@ values and differ only where a statement tests an X_i. Each statement is
 ground once per value of its gate, the X_i it compares, ranges over or
 computes with, into a template whose atoms name every X_i by its
 parameter, and compiled once into engine rows over atom ids shared by the
-whole document. A tuple's program is its templates' rows put together,
-searched with the id of `ap(X1,...,Xm)` seeded true (`_solve_tuple`);
-atoms with the tuple's values are built for its models only.
-`tuple_ground_program`, the statements ground with every X_i fixed, is the
-reference. The cross-tuple layer (preference / dominance / candidate /
-preferred) is then evaluated bottom-up over the collected facts in
-dependency order: each statement runs once after every statement that
-defines a predicate it reads, and only a positive cycle would be iterated
-to its fixpoint. One body walker serves both layers: `_plan` compiles a
-body once into its join order, and grounds it (literals become atoms of
-the final binding, counts over atoms engine aggregates) or evaluates it
-over the relations (literals look rows up through indexes on their bound
-arguments, counts of comparisons are computed directly). Every LPOD
-criterion document shares the tuple layer of the base translation, so
-that layer is solved once (`eval_lpod` on the base document) and each
-criterion is evaluated over it (`with_criterion`). A monolithic grounder
-for the whole document is kept for consistency checks and debug dumps.
+whole document. A tuple's program is the rows of the ungated statements,
+put together once, plus its gated templates' rows, searched with the id of
+`ap(X1,...,Xm)` seeded true (`_solve_tuple`); atoms with the tuple's
+values are built for its models only. `tuple_ground_program`, the
+statements ground with every X_i fixed, is the reference. The cross-tuple
+layer (preference / dominance / candidate / preferred) is then evaluated
+bottom-up over the collected facts in dependency order: each statement
+runs once after every statement that defines a predicate it reads, and
+only a positive cycle would be iterated to its fixpoint. One body walker
+serves both layers: `_plan` compiles a body once, in its join order, into
+nested closures over a list of variable slots, and grounds it (literals
+become atoms of the final binding, counts over atoms engine aggregates) or
+evaluates it over the relations (literals look rows up through indexes on
+their bound arguments, counts of comparisons are computed directly). A
+statement's grounder is compiled once per document and reused for every
+gate value. Every LPOD criterion document shares the tuple layer of the
+base translation, so that layer is solved once (`eval_lpod` on the base
+document) and each criterion is evaluated over it (`with_criterion`). A
+monolithic grounder for the whole document is kept for consistency checks
+and debug dumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import eq, ge, gt, le, lt, ne
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Optional
 
 from .engine import (
@@ -60,30 +63,6 @@ from .translate import (
     Var,
     WeakStmt,
 )
-
-
-def _eval(e, env, consts):
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, (int, str, Term)):
-        return e
-    if isinstance(e, ConstRef):
-        return consts[e.name]
-    if isinstance(e, BinOp):
-        lhs = _eval(e.lhs, env, consts)
-        rhs = _eval(e.rhs, env, consts)
-        return lhs + rhs if e.op == "+" else lhs - rhs
-    if isinstance(e, Fn):
-        return Term(e.name, tuple(_eval(a, env, consts) for a in e.args))
-    raise TypeError(e)
-
-
-def _args(lit: Lit, env, consts) -> tuple:
-    return tuple(_eval(a, env, consts) for a in lit.args)
-
-
-def _atom(lit: Lit, env, consts) -> Atom:
-    return Atom(lit.pred, _args(lit, env, consts))
 
 
 _CMP = {"=": eq, "!=": ne, "<": lt, ">": gt, "<=": le, ">=": ge}
@@ -139,8 +118,59 @@ def _outer_vars(stmt) -> set:
     return out
 
 
-def _bound(e, env, consts):
-    return None if e is None else _eval(e, env, consts)
+def _expr(e, slots, consts):
+    """`e` compiled into a function of the slot list: a variable reads its
+    slot, a constant reference is resolved now, `None` stays `None`."""
+    if isinstance(e, Var):
+        return itemgetter(slots[e.name])
+    if isinstance(e, BinOp):
+        lhs, rhs = _expr(e.lhs, slots, consts), _expr(e.rhs, slots, consts)
+        return (lambda env: lhs(env) + rhs(env)) if e.op == "+" else (lambda env: lhs(env) - rhs(env))
+    if isinstance(e, Fn):
+        args, name = _exprs(e.args, slots, consts), e.name
+        return lambda env: Term(name, args(env))
+    value = consts[e.name] if isinstance(e, ConstRef) else e
+    if not (value is None or isinstance(value, (int, str, Term))):
+        raise TypeError(e)
+    return lambda env: value
+
+
+def _exprs(exprs, slots, consts):
+    """Expressions compiled into one function of the slot list that returns
+    their values as a tuple."""
+    if len(exprs) > 1 and all(isinstance(e, Var) for e in exprs):
+        return itemgetter(*[slots[e.name] for e in exprs])
+    parts = [_expr(e, slots, consts) for e in exprs]
+    return lambda env: tuple([f(env) for f in parts])
+
+
+# A plan is a chain of steps, each linked to the rest of the plan once: a
+# step binds a slot to each of some values, tests, or looks rows up.
+
+
+def _each(rest, s, values):
+    def step(env):
+        for v in values(env):
+            env[s] = v
+            rest(env)
+
+    return step
+
+
+def _test(rest, holds):
+    return lambda env: rest(env) if holds(env) else None
+
+
+def _lookup(rest, table, spec, key, same, binds):
+    # the rows of `spec`'s index under `key` whose positions `same` agree
+    def step(env):
+        for row in table.index(spec).get(key(env), ()):
+            if not same or all([row[j] == row[k] for j, k in same]):
+                for s, j in binds:
+                    env[s] = row[j]
+                rest(env)
+
+    return step
 
 
 def _inputs(it, relational: bool, outer) -> frozenset:
@@ -173,9 +203,10 @@ def _inputs(it, relational: bool, outer) -> frozenset:
     return frozenset(vs)
 
 
-def _plan(items, bound, outer, domains, consts, table, out):
-    """Compile body items into a function of a binding of the variables
-    `bound` that calls `out(env, aggregates)` once per way to satisfy them.
+def _plan(items, bound, outer, domains, consts, table, out, slots):
+    """Compile body items into a function of a slot list holding the
+    variables `bound` that runs the step `out(slots, aggs)` returns once per
+    way to satisfy them; `aggs` gives the engine aggregates in body order.
 
     The one body walker: it grounds a body when `table` is None and
     evaluates it over the relations of `table` otherwise. Items run in join
@@ -183,32 +214,58 @@ def _plan(items, bound, outer, domains, consts, table, out):
     run, the first unbound input of the first pending item is enumerated
     from its declared domain, and after the last item so are the `outer`
     variables still unbound. The order depends only on the variables bound
-    on entry, so it is fixed here once. `V = e`, `V = lo..hi` and
-    `V = #count{...}` bind an unbound V. Over relations, a positive literal
-    with unbound plain variables binds them from its rows, looked up on its
-    bound positions, and any other literal tests membership; `aggregates`
-    is empty. When grounding, a literal neither binds nor filters (the atom
-    is built from the final binding), and a count over non-constant
-    elements becomes an engine aggregate, passed in body order.
+    on entry, so it is fixed here once, and with it what each step reads
+    and binds; a variable gets its slot (`slots` is shared with the plans
+    of count elements) when first bound. `V = e`, `V = lo..hi` and `V =
+    #count{...}` bind an unbound V. Over relations, a positive literal with
+    unbound plain variables binds them from its rows, looked up on its bound
+    positions, and any other literal tests membership. When grounding, a
+    literal is built from the final binding, and a count over non-constant
+    elements becomes an engine aggregate.
     """
     inputs = [_inputs(it, table is not None, outer) for it in items]
-    pending, bound, steps = list(range(len(items))), set(bound), []
+    pending, bound, steps, aggs = list(range(len(items))), set(bound), [], []
+
+    def slot(name):
+        bound.add(name)
+        return slots.setdefault(name, len(slots))
+
+    expr = lambda e: _expr(e, slots, consts)
+
     while True:
         k = next((k for k in pending if inputs[k] <= bound), None)
         if k is None:
             free = (inputs[pending[0]] if pending else outer) - bound
             if not free:
                 break
-            it = min(free)
-            if it not in domains:
-                raise KeyError("no domain for variable %s" % it)
-            steps.append((it, domains[it]))
-            bound.add(it)
+            name = min(free)
+            if name not in domains:
+                raise KeyError("no domain for variable %s" % name)
+            steps.append((_each, slot(name), lambda env, values=domains[name]: values))
             continue
         pending.remove(k)
         it = items[k]
-        if isinstance(it, CountExpr):
-            steps.append((it, (k, _count(it.elements, bound, domains, consts, table))))
+        if isinstance(it, CountExpr) and it.bind is None:
+            count, atoms = _count(it.elements, bound, domains, consts, table, slots)
+            slots[object()] = a = len(slots)
+            aggs.append((k, a))
+
+            def values(env, count=count, atoms=atoms, lower=expr(it.lower), upper=expr(it.upper)):
+                # the engine aggregate over non-constant elements, else None if the bounds hold
+                n, lo, hi = count(env), lower(env), upper(env)
+                if atoms:
+                    return (CountAggregate(atoms=frozenset(atoms), fixed=n, lower=lo, upper=hi),)
+                return (None,) if (lo is None or n >= lo) and (hi is None or n <= hi) else ()
+
+            steps.append((_each, a, values))
+        elif isinstance(it, CountExpr):
+            count, atoms = _count(it.elements, bound, domains, consts, table, slots)
+            if atoms is not None:
+                raise ValueError("count assignment over non-constant elements")
+            if it.bind.name in bound:
+                steps.append((_test, lambda env, n=count, v=expr(it.bind): n(env) == v(env)))
+            else:
+                steps.append((_each, slot(it.bind.name), lambda env, n=count: (n(env),)))
         elif isinstance(it, Lit) and table is None:
             continue
         elif isinstance(it, Lit) and not it.neg and not _item_vars(it, set()) <= bound:
@@ -219,138 +276,117 @@ def _plan(items, bound, outer, domains, consts, table, out):
                         same.append((i, unbound[a.name]))
                     unbound.setdefault(a.name, i)
             keyed = tuple(i for i, a in enumerate(it.args) if not (isinstance(a, Var) and a.name in unbound))
-            spec = (it.pred, len(it.args), keyed)
-            steps.append((it, (spec, [it.args[i] for i in keyed], same, tuple(unbound.items()))))
-        else:
-            steps.append((it, None))
-        _item_vars(it, bound)
-    last = len(steps)
-
-    def run(i, env, aggs):
-        if i == last:
-            out(env, tuple([agg for _, agg in sorted(aggs)]) if aggs else ())
-            return
-        it, how = steps[i]
-        if isinstance(it, str):
-            for value in how:
-                run(i + 1, {**env, it: value}, aggs)
+            key = _exprs([it.args[i] for i in keyed], slots, consts)
+            binds = [(slot(name), i) for name, i in unbound.items()]
+            steps.append((_lookup, table, (it.pred, len(it.args), keyed), key, same, binds))
         elif isinstance(it, Lit):
-            if how is None:
-                if (_args(it, env, consts) in table.rows.get(it.pred, ())) != it.neg:
-                    run(i + 1, env, aggs)
-                return
-            spec, keyed, same, binds = how
-            for row in table.index(spec).get(tuple([_eval(a, env, consts) for a in keyed]), ()):
-                if all(row[j] == row[k] for j, k in same):
-                    env2 = env.copy()
-                    for name, j in binds:
-                        env2[name] = row[j]
-                    run(i + 1, env2, aggs)
+            args, rows = _exprs(it.args, slots, consts), table.rows
+            steps.append((_test, lambda env, p=it.pred, a=args, neg=it.neg: (a(env) in rows.get(p, ())) != neg))
+        elif isinstance(it, Cmp) and it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in bound:
+            steps.append((_each, slot(it.lhs.name), lambda env, rhs=expr(it.rhs): (rhs(env),)))
         elif isinstance(it, Cmp):
-            rhs = _eval(it.rhs, env, consts)
-            if it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in env:
-                run(i + 1, {**env, it.lhs.name: rhs}, aggs)
-            elif _CMP[it.op](_eval(it.lhs, env, consts), rhs):
-                run(i + 1, env, aggs)
-        elif isinstance(it, RangeBind):
-            lo, hi, name = _eval(it.lo, env, consts), _eval(it.hi, env, consts), it.var.name
-            if name not in env:
-                for value in range(lo, hi + 1):
-                    run(i + 1, {**env, name: value}, aggs)
-            elif lo <= env[name] <= hi:
-                run(i + 1, env, aggs)
+            op, lhs, rhs = _CMP[it.op], expr(it.lhs), expr(it.rhs)
+            steps.append((_test, lambda env, op=op, lhs=lhs, rhs=rhs: op(lhs(env), rhs(env))))
+        elif it.var.name in bound:
+            lo, hi, v = expr(it.lo), expr(it.hi), expr(it.var)
+            steps.append((_test, lambda env, lo=lo, hi=hi, v=v: lo(env) <= v(env) <= hi(env)))
         else:
-            k, count = how
-            atoms, n = count(env)
-            if it.bind is not None:
-                if atoms:
-                    raise ValueError("count assignment over non-constant elements")
-                if it.bind.name not in env:
-                    run(i + 1, {**env, it.bind.name: n}, aggs)
-                elif env[it.bind.name] == n:
-                    run(i + 1, env, aggs)
-                return
-            lower, upper = _bound(it.lower, env, consts), _bound(it.upper, env, consts)
-            if atoms:
-                agg = CountAggregate(atoms=frozenset(atoms), fixed=n, lower=lower, upper=upper)
-                run(i + 1, env, aggs + ((k, agg),))
-            elif (lower is None or n >= lower) and (upper is None or n <= upper):
-                run(i + 1, env, aggs)
-
-    return lambda env: run(0, env, ())
+            lo, hi = expr(it.lo), expr(it.hi)
+            steps.append((_each, slot(it.var.name), lambda env, lo=lo, hi=hi: range(lo(env), hi(env) + 1)))
+    aggs = [a for _, a in sorted(aggs)]
+    run = out(slots, lambda env: tuple([env[a] for a in aggs if env[a] is not None]))
+    for link, *args in reversed(steps):
+        run = link(run, *args)
+    return run
 
 
-def _count(elements, bound, domains, consts, table):
-    """Count elements as a function of a binding of the variables `bound`
-    that returns (atoms, n): n counts one per satisfying binding of a
-    comparison and, over relations, one per distinct matching row of a
-    literal; when grounding, the distinct atoms of literal elements are
-    returned instead. Unconditional comparisons of bound variables are
-    evaluated directly."""
+def _count(elements, bound, domains, consts, table, slots) -> tuple:
+    """Count elements: (count, atoms), where `count` maps the slot list to
+    n, one per satisfying binding of a comparison and, over relations, one
+    per distinct matching row of a literal. When grounding, the set `atoms`
+    (None if there are none) collects the distinct atoms of literal
+    elements. Unconditional comparisons of bound variables are evaluated
+    directly."""
     if all(isinstance(el.item, Cmp) and not el.conds and _item_vars(el.item, set()) <= bound for el in elements):
         cmps = [el.item for el in elements]
-        return lambda env: ((), sum([_CMP[c.op](_eval(c.lhs, env, consts), _eval(c.rhs, env, consts)) for c in cmps]))
-    parts = []
+        if all(isinstance(c.lhs, Var) and isinstance(c.rhs, Var) for c in cmps):
+            tests = [(_CMP[c.op], slots[c.lhs.name], slots[c.rhs.name]) for c in cmps]
+            return (lambda env: sum([op(env[i], env[j]) for op, i, j in tests])), None
+        tests = [(_CMP[c.op], _expr(c.lhs, slots, consts), _expr(c.rhs, slots, consts)) for c in cmps]
+        return (lambda env: sum([op(lhs(env), rhs(env)) for op, lhs, rhs in tests])), None
+    atoms, parts = set(), []
     for el in elements:
-        if isinstance(el.item, Cmp):
-            hits = []
-            out = lambda env, aggs, hits=hits: hits.append(env)
-        else:
-            hits, make = set(), _atom if table is None else _args
-            out = lambda env, aggs, hits=hits, lit=el.item, make=make: hits.add(make(lit, env, consts))
-        run = _plan(el.conds + (el.item,), bound, frozenset(), domains, consts, table, out)
-        parts.append((hits, table is None and isinstance(el.item, Lit), run))
+        hits = atoms if table is None and isinstance(el.item, Lit) else [] if isinstance(el.item, Cmp) else set()
+
+        def out(slots, aggs, hits=hits, item=el.item):
+            if isinstance(item, Cmp):
+                return lambda env: hits.append(None)
+            args, pred = _exprs(item.args, slots, consts), item.pred
+            if table is None:
+                return lambda env: hits.add(Atom(pred, args(env)))
+            return lambda env: hits.add(args(env))
+
+        parts.append((hits, _plan(el.conds + (el.item,), bound, frozenset(), domains, consts, table, out, slots)))
+    counted = [hits for hits, _ in parts if hits is not atoms]
 
     def count(env):
-        atoms, n = set(), 0
-        for hits, grounds, run in parts:
-            hits.clear()
+        atoms.clear()
+        for hits, run in parts:
+            if hits is not atoms:
+                hits.clear()
             run(env)
-            if grounds:
-                atoms |= hits
-            else:
-                n += len(hits)
-        return atoms, n
+        return sum([len(hits) for hits in counted])
 
-    return count
+    return count, atoms if table is None and len(counted) < len(parts) else None
+
+
+def _grounder(stmt, doc: AspDocument, names: tuple):
+    """The plan that grounds one statement into the list in slot 0, with the
+    variables `names` in the next slots, and the padding of its slot list:
+    one plan for the body, and one count for the elements of a choice head."""
+    consts, domains, outer = dict(doc.constants), dict(stmt.var_domains), _outer_vars(stmt)
+    head, slots = getattr(stmt, "head", None), {name: i for i, name in enumerate((None,) + names)}
+
+    def out(slots, aggs):
+        def atoms(lits):
+            parts = [(l.pred, _exprs(l.args, slots, consts)) for l in lits]
+            return lambda env: frozenset([Atom(pred, args(env)) for pred, args in parts])
+
+        pos, neg = (atoms([l for l in stmt.body if isinstance(l, Lit) and l.neg == n]) for n in (False, True))
+        if isinstance(stmt, WeakStmt):
+            terms, weight = _exprs(stmt.terms, slots, consts), stmt.weight
+            return lambda env: env[0].append(WeakConstraint(pos(env), neg(env), aggs(env), weight, terms(env)))
+        if isinstance(head, ChoiceExpr):
+            count, chosen = _count(head.elements, set(names) | outer, domains, consts, None, slots)
+            lower, upper = _expr(head.lower, slots, consts), _expr(head.upper, slots, consts)
+
+            def h(env):
+                if count(env):
+                    raise ValueError("constant elements in a choice head")
+                return ChoiceHead(tuple(sorted(chosen or (), key=Atom.sort_key)), lower(env), upper(env))
+
+        elif head is None:
+            h = lambda env: None
+        else:
+            h = lambda env, pred=head.pred, args=_exprs(head.args, slots, consts): Atom(pred, args(env))
+        return lambda env: env[0].append(GroundRule(h(env), pos(env), neg(env), aggs(env)))
+
+    run = _plan(stmt.body, names, outer, domains, consts, None, out, slots)
+    return run, [None] * (len(slots) - len(names) - 1)
 
 
 def _ground_statement(stmt, doc: AspDocument, fixed: dict) -> list:
-    """The engine rules / weak constraints of one statement: one plan for
-    the body, and one count for the elements of a choice head."""
+    """The engine rules / weak constraints of one statement with the
+    variables of `fixed` set, by the statement's grounder for those
+    variables, which is compiled once per document."""
     if isinstance(stmt, FactPoolStmt):
         return [GroundRule(head=Atom(stmt.pred, (v,))) for v in stmt.values]
-    consts = dict(doc.constants)
-    domains = dict(stmt.var_domains)
-    outer = _outer_vars(stmt)
-    lits = [it for it in stmt.body if isinstance(it, Lit)]
-    head = getattr(stmt, "head", None)
-    if isinstance(head, ChoiceExpr):
-        choice = _count(head.elements, fixed.keys() | outer, domains, consts, None)
-    objs = []
-
-    def out(env, aggs):
-        pos = frozenset(_atom(l, env, consts) for l in lits if not l.neg)
-        neg = frozenset(_atom(l, env, consts) for l in lits if l.neg)
-        if isinstance(stmt, WeakStmt):
-            terms = tuple(_eval(t, env, consts) for t in stmt.terms)
-            objs.append(WeakConstraint(pos=pos, neg=neg, aggregates=aggs, weight=stmt.weight, terms=terms))
-            return
-        h = head
-        if isinstance(h, Lit):
-            h = _atom(h, env, consts)
-        elif h is not None:
-            atoms, n = choice(env)
-            if n:
-                raise ValueError("constant elements in a choice head")
-            h = ChoiceHead(
-                atoms=tuple(sorted(atoms, key=Atom.sort_key)),
-                lower=_bound(head.lower, env, consts),
-                upper=_bound(head.upper, env, consts),
-            )
-        objs.append(GroundRule(head=h, pos=pos, neg=neg, aggregates=aggs))
-
-    _plan(stmt.body, fixed.keys(), outer, domains, consts, None, out)(fixed)
+    grounders, key, objs = doc.templates.setdefault("grounders", {}), (id(stmt), tuple(fixed)), []
+    if key not in grounders:
+        # kept with its grounder, the statement keeps its id
+        grounders[key] = (stmt,) + _grounder(stmt, doc, tuple(fixed))
+    _, run, padding = grounders[key]
+    run([objs, *fixed.values(), *padding])
     return objs
 
 
@@ -491,25 +527,37 @@ def _tuple_rows(doc: AspDocument, xs: tuple) -> tuple:
     tuple-phase statement's template for the tuple's value of its gate (see
     `_gate`), compiled on first use. `doc.templates` keeps the templates by
     statement and gate value, the document's `_Param`s and the id table,
-    which maps each template atom to its bit position in every tuple."""
+    which maps each template atom to its bit position in every tuple. The
+    statements of one gate are grouped, and their rows for each value of
+    the gate are put together once (for the ungated ones, once in all)."""
     templates = doc.templates
-    if not templates:
-        m = len(doc.domains)
-        templates["params"] = tuple(_Param(i) for i in range(m))
-        templates["ids"] = {}
-        tuple_phase = [_drop_covering(s, doc.domains) for s in doc.statements if s.phase == "tuple"]
-        templates["statements"] = [(s, _gate(s, m), {}) for s in tuple_phase]
-    params, ids = templates["params"], templates["ids"]
-    rows, weak = [], []
-    for stmt, gate, by_value in templates["statements"]:
+
+    def template(stmt, gate, by_value):
         value = tuple([xs[g] for g in gate])
-        template = by_value.get(value)
-        if template is None:
+        if value not in by_value:
+            params = templates["params"]
             fixed = {"X%d" % (i + 1): p for i, p in enumerate(params)}
             fixed.update(("X%d" % (g + 1), _Gated(xs[g], g)) for g in gate)
-            template = by_value[value] = _compile(_ground_statement(stmt, doc, fixed), params, ids)
-        rows += template[0]
-        weak += template[1]
+            by_value[value] = _compile(_ground_statement(stmt, doc, fixed), params, templates["ids"])
+        return by_value[value]
+
+    if "statements" not in templates:
+        m = len(doc.domains)
+        templates["params"], templates["ids"], groups = tuple(_Param(i) for i in range(m)), {}, {}
+        tuple_phase = [_drop_covering(s, doc.domains) for s in doc.statements if s.phase == "tuple"]
+        templates["statements"] = [(s, _gate(s, m), {}) for s in tuple_phase]
+        for t in templates["statements"]:
+            template(*t)  # the first tuple numbers the atoms in statement order
+            groups.setdefault(t[1], ([], {}))[0].append(t)
+        templates["groups"] = groups
+    rows, weak = [], []
+    for gate, (members, combined) in templates["groups"].items():
+        value = tuple([xs[g] for g in gate])
+        if value not in combined:
+            parts = [template(*t) for t in members]
+            combined[value] = ([r for p in parts for r in p[0]], [w for p in parts for w in p[1]])
+        rows += combined[value][0]
+        weak += combined[value][1]
     return rows, weak
 
 
@@ -611,12 +659,17 @@ def evaluate_global_layer(doc: AspDocument, seed_relations: dict) -> dict:
                 table.rows.setdefault(s.pred, set()).update((v,) for v in s.values)
                 continue
             rows = table.rows.setdefault(s.head.pred, set())
-            out = lambda env, aggs, head=s.head, rows=rows: rows.add(_args(head, env, consts))
-            plans.append(_plan(s.body, (), _outer_vars(s), dict(s.var_domains), consts, table, out))
+
+            def out(slots, aggs, head=s.head, rows=rows):
+                args = _exprs(head.args, slots, consts)
+                return lambda env: rows.add(args(env))
+
+            slots = {}
+            plans.append((_plan(s.body, (), _outer_vars(s), dict(s.var_domains), consts, table, out, slots), slots))
         while True:
             size = sum(map(len, table.rows.values()))
-            for run in plans:
-                run({})
+            for run, slots in plans:
+                run([None] * len(slots))
             if not cyclic or sum(map(len, table.rows.values())) == size:
                 break
             table.indexes.clear()

@@ -142,8 +142,9 @@ class AspDocument:
     constants: tuple = ()  # (name, value) pairs
     criterion: Optional[str] = None
     # the tuple layer compiled by evaluate._tuple_rows on first use: the
-    # rows of each tuple-phase statement per gate value, and the id table
-    # of the template atoms they share; freed with the document
+    # rows of each tuple-phase statement per gate value, the id table of
+    # the template atoms they share, and each statement's grounder; freed
+    # with the document
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tuple_space(self) -> tuple:

@@ -28,6 +28,7 @@ from lpodc.translate import (
     AggElem,
     AspDocument,
     CountExpr,
+    FactPoolStmt,
     Lit,
     RuleStmt,
     Var,
@@ -416,6 +417,34 @@ def test_assumption_choice_is_ground_once_per_document(pi1):
         eval_lpod(doc)
         templates = [by_value for s, _, by_value in doc.templates["statements"] if s.tag == "assumption-choice"]
         assert [len(by_value) for by_value in templates] == [1]
+
+
+def test_first_pass_grounds_every_template_through_ground_statement(pi1, monkeypatch):
+    # the second pass of test_template_atoms_have_one_id_per_document makes
+    # no call; the first makes one per template, through the same function
+    calls, ground = [], evaluate._ground_statement
+    monkeypatch.setattr(evaluate, "_ground_statement", lambda stmt, *args: calls.append(stmt) or ground(stmt, *args))
+    doc = lpod2asp_base(pi1)
+    for xs in doc.tuple_space():
+        _solve_tuple(doc, xs)
+    templates = doc.templates["statements"]
+    assert Counter(map(id, calls)) == Counter({id(s): len(by_value) for s, _, by_value in templates})
+    assert len(calls) > len(templates)
+
+
+def test_each_tuple_statement_body_is_compiled_once_per_document(pi1, monkeypatch):
+    plans, plan = [], evaluate._plan
+    monkeypatch.setattr(evaluate, "_plan", lambda items, *args: plans.append(items) or plan(items, *args))
+    for p in (pi1, _chain((3, 3, 3))):
+        doc = lpod2asp_base(p)
+        plans.clear()
+        for xs in doc.tuple_space():
+            _solve_tuple(doc, xs)
+        templates = [(s, by_value) for s, _, by_value in doc.templates["statements"] if not isinstance(s, FactPoolStmt)]
+        bodies = Counter(id(s.body) for s, _ in templates)
+        assert Counter(id(items) for items in plans if id(items) in bodies) == bodies
+        # however many gate values a statement has
+        assert max(len(by_value) for _, by_value in templates) > 1
 
 
 def test_solve_tuple_builds_no_ground_program(pi2, monkeypatch):
