@@ -8,26 +8,23 @@ values and differ only where a statement tests an X_i. Each statement is
 ground once per value of its gate, the X_i it compares, ranges over or
 computes with, into a template whose atoms name every X_i by its
 parameter, and compiled once into engine rows over atom ids shared by the
-whole document. A tuple's program is the rows of the ungated statements,
-put together once, plus its gated templates' rows, searched with the id of
-`ap(X1,...,Xm)` seeded true (`_solve_tuple`); atoms with the tuple's
-values are built for its models only. `tuple_ground_program`, the
-statements ground with every X_i fixed, is the reference. The cross-tuple
-layer (preference / dominance / candidate / preferred) is then evaluated
-bottom-up over the collected facts in dependency order: each statement
-runs once after every statement that defines a predicate it reads, and
-only a positive cycle would be iterated to its fixpoint. One body walker
+whole document. A tuple's program is its templates' rows, those of each
+gate put together once per value, searched with the id of `ap(X1,...,Xm)`
+seeded true (`_solve_tuple`); atoms with the tuple's values are built for
+its models only. `tuple_ground_program`, the statements ground with every
+X_i fixed, is the reference. The cross-tuple layer (preference / dominance
+/ candidate / preferred) is evaluated bottom-up in dependency order: each
+statement runs once after every statement that defines a predicate it
+reads; only a positive cycle is iterated to its fixpoint. One body walker
 serves both layers: `_plan` compiles a body once, in its join order, into
-nested closures over a list of variable slots, and grounds it (literals
-become atoms of the final binding, counts over atoms engine aggregates) or
-evaluates it over the relations (literals look rows up through indexes on
-their bound arguments, counts of comparisons are computed directly). A
-statement's grounder is compiled once per document and reused for every
-gate value. Every LPOD criterion document shares the tuple layer of the
-base translation, so that layer is solved once (`eval_lpod` on the base
-document) and each criterion is evaluated over it (`with_criterion`). A
-monolithic grounder for the whole document is kept for consistency checks
-and debug dumps.
+closures over a list of variable slots that ground it (counts over atoms
+become engine aggregates) or evaluate it over the relations (literals look
+rows up through indexes on their bound arguments); each statement's
+grounder is compiled once per document, for every gate value. Every LPOD
+criterion document shares the base translation's tuple layer, solved once
+(`eval_lpod` on the base document) and evaluated under each criterion
+(`with_criterion`). A monolithic grounder serves consistency checks and
+debug dumps.
 """
 
 from __future__ import annotations
@@ -127,8 +124,7 @@ def _expr(e, slots, consts):
         lhs, rhs = _expr(e.lhs, slots, consts), _expr(e.rhs, slots, consts)
         return (lambda env: lhs(env) + rhs(env)) if e.op == "+" else (lambda env: lhs(env) - rhs(env))
     if isinstance(e, Fn):
-        args, name = _exprs(e.args, slots, consts), e.name
-        return lambda env: Term(name, args(env))
+        return lambda env, name=e.name, args=_exprs(e.args, slots, consts): Term(name, args(env))
     value = consts[e.name] if isinstance(e, ConstRef) else e
     if not (value is None or isinstance(value, (int, str, Term))):
         raise TypeError(e)
@@ -136,18 +132,14 @@ def _expr(e, slots, consts):
 
 
 def _exprs(exprs, slots, consts):
-    """Expressions compiled into one function of the slot list that returns
-    their values as a tuple."""
+    """Expressions compiled into one function of the slot list to a tuple."""
     if len(exprs) > 1 and all(isinstance(e, Var) for e in exprs):
         return itemgetter(*[slots[e.name] for e in exprs])
     parts = [_expr(e, slots, consts) for e in exprs]
     return lambda env: tuple([f(env) for f in parts])
 
 
-# A plan is a chain of steps, each linked to the rest of the plan once: a
-# step binds a slot to each of some values, tests, or looks rows up.
-
-
+# the steps of a plan, each linked to the rest of the plan once
 def _each(rest, s, values):
     def step(env):
         for v in values(env):
@@ -165,7 +157,7 @@ def _lookup(rest, table, spec, key, same, binds):
     # the rows of `spec`'s index under `key` whose positions `same` agree
     def step(env):
         for row in table.index(spec).get(key(env), ()):
-            if not same or all([row[j] == row[k] for j, k in same]):
+            if all([row[j] == row[k] for j, k in same]):
                 for s, j in binds:
                     env[s] = row[j]
                 rest(env)
@@ -214,23 +206,21 @@ def _plan(items, bound, outer, domains, consts, table, out, slots):
     run, the first unbound input of the first pending item is enumerated
     from its declared domain, and after the last item so are the `outer`
     variables still unbound. The order depends only on the variables bound
-    on entry, so it is fixed here once, and with it what each step reads
-    and binds; a variable gets its slot (`slots` is shared with the plans
-    of count elements) when first bound. `V = e`, `V = lo..hi` and `V =
-    #count{...}` bind an unbound V. Over relations, a positive literal with
-    unbound plain variables binds them from its rows, looked up on its bound
-    positions, and any other literal tests membership. When grounding, a
-    literal is built from the final binding, and a count over non-constant
-    elements becomes an engine aggregate.
+    on entry, so it is fixed here once, and with it the slots (shared with
+    the plans of count elements) that each step reads and binds. `V = e`,
+    `V = lo..hi` and `V = #count{...}` bind an unbound V. Over relations,
+    a positive literal with unbound plain variables binds them from its
+    rows, looked up on its bound positions, and any other literal tests
+    membership. When grounding, a literal is built from the final binding,
+    and a count over non-constant elements becomes an engine aggregate.
     """
     inputs = [_inputs(it, table is not None, outer) for it in items]
     pending, bound, steps, aggs = list(range(len(items))), set(bound), [], []
+    expr = lambda e: _expr(e, slots, consts)
 
     def slot(name):
         bound.add(name)
         return slots.setdefault(name, len(slots))
-
-    expr = lambda e: _expr(e, slots, consts)
 
     while True:
         k = next((k for k in pending if inputs[k] <= bound), None)
@@ -285,11 +275,9 @@ def _plan(items, bound, outer, domains, consts, table, out, slots):
         elif isinstance(it, Cmp) and it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in bound:
             steps.append((_each, slot(it.lhs.name), lambda env, rhs=expr(it.rhs): (rhs(env),)))
         elif isinstance(it, Cmp):
-            op, lhs, rhs = _CMP[it.op], expr(it.lhs), expr(it.rhs)
-            steps.append((_test, lambda env, op=op, lhs=lhs, rhs=rhs: op(lhs(env), rhs(env))))
+            steps.append((_test, lambda env, op=_CMP[it.op], a=expr(it.lhs), b=expr(it.rhs): op(a(env), b(env))))
         elif it.var.name in bound:
-            lo, hi, v = expr(it.lo), expr(it.hi), expr(it.var)
-            steps.append((_test, lambda env, lo=lo, hi=hi, v=v: lo(env) <= v(env) <= hi(env)))
+            steps.append((_test, lambda env, a=expr(it.lo), b=expr(it.hi), v=expr(it.var): a(env) <= v(env) <= b(env)))
         else:
             lo, hi = expr(it.lo), expr(it.hi)
             steps.append((_each, slot(it.var.name), lambda env, lo=lo, hi=hi: range(lo(env), hi(env) + 1)))
@@ -301,17 +289,13 @@ def _plan(items, bound, outer, domains, consts, table, out, slots):
 
 
 def _count(elements, bound, domains, consts, table, slots) -> tuple:
-    """Count elements: (count, atoms), where `count` maps the slot list to
-    n, one per satisfying binding of a comparison and, over relations, one
-    per distinct matching row of a literal. When grounding, the set `atoms`
-    (None if there are none) collects the distinct atoms of literal
-    elements. Unconditional comparisons of bound variables are evaluated
-    directly."""
+    """Count elements: (count, atoms). `count` maps the slot list to n, one
+    per satisfying binding of a comparison and, over relations, one per
+    distinct matching row of a literal; when grounding, the set `atoms`
+    (None if no element is a literal) collects the atoms of literal
+    elements. Unconditional comparisons of bound variables count directly."""
     if all(isinstance(el.item, Cmp) and not el.conds and _item_vars(el.item, set()) <= bound for el in elements):
         cmps = [el.item for el in elements]
-        if all(isinstance(c.lhs, Var) and isinstance(c.rhs, Var) for c in cmps):
-            tests = [(_CMP[c.op], slots[c.lhs.name], slots[c.rhs.name]) for c in cmps]
-            return (lambda env: sum([op(env[i], env[j]) for op, i, j in tests])), None
         tests = [(_CMP[c.op], _expr(c.lhs, slots, consts), _expr(c.rhs, slots, consts)) for c in cmps]
         return (lambda env: sum([op(lhs(env), rhs(env)) for op, lhs, rhs in tests])), None
     atoms, parts = set(), []
@@ -377,13 +361,11 @@ def _grounder(stmt, doc: AspDocument, names: tuple):
 
 def _ground_statement(stmt, doc: AspDocument, fixed: dict) -> list:
     """The engine rules / weak constraints of one statement with the
-    variables of `fixed` set, by the statement's grounder for those
-    variables, which is compiled once per document."""
+    variables of `fixed` set, by its grounder, compiled once per document."""
     if isinstance(stmt, FactPoolStmt):
         return [GroundRule(head=Atom(stmt.pred, (v,))) for v in stmt.values]
     grounders, key, objs = doc.templates.setdefault("grounders", {}), (id(stmt), tuple(fixed)), []
-    if key not in grounders:
-        # kept with its grounder, the statement keeps its id
+    if key not in grounders:  # kept with its grounder, the statement keeps its id
         grounders[key] = (stmt,) + _grounder(stmt, doc, tuple(fixed))
     _, run, padding = grounders[key]
     run([objs, *fixed.values(), *padding])
@@ -527,29 +509,25 @@ def _tuple_rows(doc: AspDocument, xs: tuple) -> tuple:
     tuple-phase statement's template for the tuple's value of its gate (see
     `_gate`), compiled on first use. `doc.templates` keeps the templates by
     statement and gate value, the document's `_Param`s and the id table,
-    which maps each template atom to its bit position in every tuple. The
-    statements of one gate are grouped, and their rows for each value of
-    the gate are put together once (for the ungated ones, once in all)."""
+    which maps each template atom to its bit position in every tuple, and
+    per gate the rows of its statements, put together once per value."""
     templates = doc.templates
 
     def template(stmt, gate, by_value):
         value = tuple([xs[g] for g in gate])
         if value not in by_value:
-            params = templates["params"]
-            fixed = {"X%d" % (i + 1): p for i, p in enumerate(params)}
-            fixed.update(("X%d" % (g + 1), _Gated(xs[g], g)) for g in gate)
-            by_value[value] = _compile(_ground_statement(stmt, doc, fixed), params, templates["ids"])
+            fixed = {"X%d" % (i + 1): _Gated(xs[i], i) if i in gate else p for i, p in enumerate(templates["params"])}
+            by_value[value] = _compile(_ground_statement(stmt, doc, fixed), templates["params"], templates["ids"])
         return by_value[value]
 
     if "statements" not in templates:
         m = len(doc.domains)
-        templates["params"], templates["ids"], groups = tuple(_Param(i) for i in range(m)), {}, {}
+        templates["params"], templates["ids"], templates["groups"] = tuple(_Param(i) for i in range(m)), {}, {}
         tuple_phase = [_drop_covering(s, doc.domains) for s in doc.statements if s.phase == "tuple"]
         templates["statements"] = [(s, _gate(s, m), {}) for s in tuple_phase]
         for t in templates["statements"]:
             template(*t)  # the first tuple numbers the atoms in statement order
-            groups.setdefault(t[1], ([], {}))[0].append(t)
-        templates["groups"] = groups
+            templates["groups"].setdefault(t[1], ([], {}))[0].append(t)
     rows, weak = [], []
     for gate, (members, combined) in templates["groups"].items():
         value = tuple([xs[g] for g in gate])
@@ -658,13 +636,12 @@ def evaluate_global_layer(doc: AspDocument, seed_relations: dict) -> dict:
             if isinstance(s, FactPoolStmt):
                 table.rows.setdefault(s.pred, set()).update((v,) for v in s.values)
                 continue
-            rows = table.rows.setdefault(s.head.pred, set())
+            rows, slots = table.rows.setdefault(s.head.pred, set()), {}
 
             def out(slots, aggs, head=s.head, rows=rows):
                 args = _exprs(head.args, slots, consts)
                 return lambda env: rows.add(args(env))
 
-            slots = {}
             plans.append((_plan(s.body, (), _outer_vars(s), dict(s.var_domains), consts, table, out, slots), slots))
         while True:
             size = sum(map(len, table.rows.values()))
