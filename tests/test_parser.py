@@ -167,6 +167,8 @@ _EDGE_TEXTS = (
     "r1: a :- b.", "r1: a.", "r: 1 {a} 1.", "prefer(r1,r2).", "prefer(1,r2).",
     "prefer(r1,r2) :- a.", "a(1,-2,b) :- not c(x).", "not.", "a :- not not.", "a(",
     "a\r\n\r\n  b c.", "% only a comment", "\u00e9.", "a :- b.\n\tc :- d\n",
+    "p( 1 , b )", "p(1,%c\n2)", "p(-3)", "not(a).", "p(l(1)).", "p(1,).",
+    "r: a(1) * b(2) :+ c(3).", "prefer(r1 , r2).",
 )
 
 

@@ -1,13 +1,18 @@
+import hashlib
+import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import goldens
-from conftest import tokens
+from conftest import PROGRAMS, load_program, tokens
 from lpodc import translate
 from lpodc.lpod import Criterion
 from lpodc.model import Dialect, Term, canonicalize
-from lpodc.parser import parse
+from lpodc.parser import parse, render
+from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 from lpodc.translate import (
     ChoiceExpr,
     DegenerateProgram,
@@ -199,10 +204,6 @@ def test_emitted_text_reparses_to_same_structure(pi1, pi2, pi3, pi3p):
 
 
 def test_emitted_text_reparses_on_random_programs():
-    import random
-
-    from lpodc.randgen import random_crp, random_lpod, random_lpod_args
-
     rng = random.Random(97)
     for _ in range(25):
         for p in (random_lpod(rng), random_lpod_args(rng)):
@@ -303,3 +304,53 @@ def test_criterion_layers_build_no_ap_terms(pi2, pi3p, monkeypatch):
     assert made == []
     ((_, domain),) = [d for d in doc.statements[-1].var_domains if d[0] == "P"]
     assert len(list(domain)) == len(base.tuple_space()) == len(made)
+
+
+EMITTED = Path(__file__).resolve().parent / "translate" / "emitted.txt"
+
+
+def _emitted_corpus() -> list:
+    """(name, program): programs/* and seeded random_lpod_args, random_lpod
+    and random_crp programs with choice rules, each rendered and read back
+    through parse, so the parser builds every atom the translations see."""
+    programs = [(path.name, load_program(path.name)) for path in sorted(PROGRAMS.iterdir())]
+    rng = random.Random(1616)
+    programs += [("random_lpod_args:%d" % i, random_lpod_args(rng)) for i in range(100)]
+    programs += [("random_lpod:%d" % i, random_lpod(rng)) for i in range(100)]
+    programs += [("random_crp:%d" % i, random_crp(rng, with_choice=True)) for i in range(100)]
+    return [(name, canonicalize(parse(render(p), p.dialect))) for name, p in programs]
+
+
+def _emitted_digests() -> str:
+    """One `<document> <sha256 of its emitted text>` line per document: the
+    base translation and each criterion's, or the crp2asp translation."""
+    lines = []
+    for name, p in _emitted_corpus():
+        if p.dialect is Dialect.CRP2:
+            docs = [(name, crp2asp(p))]
+        else:
+            base = lpod2asp_base(p)
+            docs = [(name + ":base", base)]
+            docs += [("%s:%s" % (name, c.value), lpod2asp_criterion(base, c)) for c in Criterion]
+        for doc_name, doc in docs:
+            lines.append("%s %s" % (doc_name, hashlib.sha256(emit(doc).encode()).hexdigest()))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_emitted_text_matches_digests():
+    # every document's text is pinned; regenerate with --write (see below)
+    want = EMITTED.read_text().splitlines()
+    got = _emitted_digests().splitlines()
+    assert len(got) == len(want) >= 1000
+    differing = [g.split()[0] for g, w in zip(got, want) if g != w]
+    assert not differing, "emitted text differs: %s" % ", ".join(differing[:5])
+
+
+if __name__ == "__main__":
+    # regenerate the digests: PYTHONPATH=src python tests/test_translate.py --write
+    text = _emitted_digests()
+    if sys.argv[1:] == ["--write"]:
+        EMITTED.parent.mkdir(exist_ok=True)
+        EMITTED.write_text(text)
+    else:
+        sys.stdout.write(text)
