@@ -143,13 +143,22 @@ class Program:
     rules: tuple = ()
     prefer_facts: tuple = ()  # pairs of rule labels, CRP2 only
 
+    def atoms(self) -> dict:
+        """Each atom of the rules once, as keys in order of first occurrence.
+        The parser interns atoms, so repeats are dropped by identity before
+        an atom is hashed by value."""
+        seen = {}
+        for r in self.rules:
+            for a in r.head_atoms:
+                seen[id(a)] = a
+            for lit in r.body:
+                seen[id(lit.atom)] = lit.atom
+        return dict.fromkeys(seen.values())
+
     @property
     def signature(self) -> frozenset:
         """All atoms occurring in the rules (the sigma of the program)."""
-        atoms = set()
-        for r in self.rules:
-            atoms.update(r.atoms())
-        return frozenset(atoms)
+        return frozenset(self.atoms())
 
     @property
     def regular_rules(self) -> tuple:
@@ -269,7 +278,7 @@ def validate_program(p: Program) -> ValidationReport:
                 bad("empty-choice-bounds", "choice lower bound %d exceeds upper bound %d" % (lo, up))
         if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR) and p.dialect is not Dialect.CRP2:
             bad("cr-rule-dialect", "cr-rules are only allowed in the crp2 dialect")
-    for atom in dict.fromkeys(a for r in p.rules for a in r.atoms()):
+    for atom in p.atoms():
         hit = _reserved(atom.predicate, len(atom.args), p.dialect)
         if hit:
             bad("reserved-predicate", "reserved predicate %s" % hit)

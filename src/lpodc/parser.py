@@ -15,8 +15,10 @@ Grammar sketch (UTF-8, % comments, newline-agnostic):
 Facts omit the arrow. Labels are only meaningful on cr/ordered rules.
 
 The text is tokenized by one regex scan into (kind, text, offset) tuples;
-a SourceSpan (line and column) is computed only for the ParseError raised,
-so valid input builds none.
+IDENT "(" arg, ... ")" is one `atom` token, blanks and comments inside it
+included. A parse builds one Atom per distinct atom text and one Literal
+per atom and sign. A SourceSpan (line and column) is computed only for the
+ParseError raised, so valid input builds none.
 """
 
 from __future__ import annotations
@@ -42,23 +44,27 @@ class ParseError(Exception):
         self.span = span
 
 
+_GAP = r"(?:\s|%[^\n]*\n)*"  # blanks and comments inside an atom, read one way only
+_ARG = r"(?:-?\d+|[a-zA-Z_][A-Za-z0-9_]*)"
 _TOKEN_RE = re.compile(
     r"""
     (?P<skip>\s+|%[^\n]*)
   | (?P<arrow>:-|:\+)
   | (?P<num>-?\d+)
+  | (?P<atom>(?!not\b)(?P<name>[a-zA-Z_][A-Za-z0-9_]*)GAP(?P<open>\()GAP ARG GAP(?:,GAP ARG GAP)*\))
   | (?P<ident>[a-zA-Z_][A-Za-z0-9_]*)
   | (?P<punct>[(){};:,.*])
   | (?P<bad>.)
-    """,
+    """.replace("GAP", _GAP).replace("ARG", _ARG),
     re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list:
-    """(kind, text, offset) per token, kind one of arrow | num | ident |
-    punct, then two eof tokens so that peek(1) needs no bounds check."""
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup != "skip"]
+    """(kind, text, offset) per token, kind one of arrow | num | atom |
+    ident | punct, then two eof tokens so that peek(1) needs no bounds
+    check."""
+    tokens = [(kind, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup) != "skip"]
     for kind, tok_text, pos in tokens:
         if kind == "bad":
             raise ParseError("unexpected character %r" % tok_text, _span(text, pos, pos + 1))
@@ -78,6 +84,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.dialect = dialect
+        self.atoms = {}  # atom text -> its Atom
+        self.literals = {}  # (atom text, negated) -> its Literal
 
     def peek(self, ahead: int = 0) -> tuple:
         return self.tokens[self.i + ahead]
@@ -88,17 +96,24 @@ class _Parser:
         self.i += 1
         return tok
 
+    def as_walked(self, tok: tuple) -> tuple:
+        """An atom token as the walk reads it: by its name."""
+        if tok[0] != "atom":
+            return tok
+        return ("ident", _TOKEN_RE.match(self.text, tok[2]).group("name"), tok[2])
+
     def error(self, message: str, tok: tuple) -> ParseError:
-        _, tok_text, pos = tok
+        _, tok_text, pos = self.as_walked(tok)
         return ParseError(message, _span(self.text, pos, pos + len(tok_text)))
+
+    def unexpected(self, what: str, tok: tuple) -> ParseError:
+        tok = self.as_walked(tok)
+        return self.error("expected %s, found %r" % (what, tok[1] or "end of input"), tok)
 
     def expect(self, text: str) -> None:
         tok = self.next()
         if tok[1] != text:
-            raise self.error("expected %r, found %r" % (text, tok[1] or "end of input"), tok)
-
-    def fail(self, message: str) -> None:
-        raise self.error(message, self.peek())
+            raise self.unexpected(repr(text), tok)
 
     def parse_program(self) -> Program:
         rules, prefers = [], []
@@ -120,14 +135,14 @@ class _Parser:
             body = self.parse_body()
             self.expect(".")
             if label is not None:
-                self.fail("constraints cannot carry a label")
+                raise self.error("constraints cannot carry a label", self.peek())
             return Rule(kind=RuleKind.REGULAR, head_atoms=(), body=body)
 
         if kind == "num" or text == "{":
             return self.parse_choice_rule(label)
 
-        if kind != "ident":
-            self.fail("expected a statement, found %r" % (text or "end of input"))
+        if kind != "ident" and kind != "atom":
+            raise self.unexpected("a statement", tok)
 
         first = self.parse_atom()
         if (
@@ -166,12 +181,12 @@ class _Parser:
         else:
             kind = RuleKind.CR if cr else RuleKind.REGULAR
         if label is not None and kind is RuleKind.REGULAR:
-            self.fail("labels are only allowed on cr/ordered rules")
+            raise self.error("labels are only allowed on cr/ordered rules", self.peek())
         return Rule(kind=kind, head_atoms=tuple(heads), body=body, label=label)
 
     def parse_choice_rule(self, label):
         if label is not None:
-            self.fail("choice rules cannot carry a label")
+            raise self.error("choice rules cannot carry a label", self.peek())
         lower = self.parse_bound("lower")
         self.expect("{")
         elems = [self.parse_atom()]
@@ -207,36 +222,51 @@ class _Parser:
         return tuple(lits)
 
     def parse_literal(self) -> Literal:
-        negated = False
-        if self.peek()[1] == "not":
+        negated = self.peek()[1] == "not"
+        if negated:
             self.next()
-            negated = True
-        return Literal(atom=self.parse_atom(), negated=negated)
+        key = (self.peek()[1], negated)
+        atom = self.parse_atom()
+        lit = self.literals.get(key)
+        if lit is None:
+            lit = self.literals[key] = Literal(atom, negated)
+        return lit
 
     def parse_atom(self) -> Atom:
         tok = self.next()
-        kind, text, _ = tok
+        kind, text, pos = tok
+        atom = self.atoms.get(text)
+        if atom is not None and (kind == "atom" or self.peek()[1] != "("):
+            return atom
+        if kind == "atom":
+            m = _TOKEN_RE.match(self.text, pos)
+            args = tuple(
+                int(a.group()) if a.lastgroup == "num" else a.group()
+                for a in _TOKEN_RE.finditer(self.text, m.end("open"), m.end())
+                if a.lastgroup == "num" or a.lastgroup == "ident"
+            )
+            atom = self.atoms[text] = Atom(m.group("name"), args)
+            return atom
         if kind != "ident" or text == "not":
-            raise self.error("expected an atom, found %r" % (text or "end of input"), tok)
-        args = ()
-        if self.peek()[1] == "(":
+            raise self.unexpected("an atom", tok)
+        if self.peek()[1] != "(":
+            atom = self.atoms[text] = Atom(text)
+            return atom
+        # a well-formed argument list is part of its atom token, so this one
+        # is malformed: walk it to the token that breaks it
+        self.next()
+        self.parse_arg()
+        while self.peek()[1] == ",":
             self.next()
-            parts = [self.parse_arg()]
-            while self.peek()[1] == ",":
-                self.next()
-                parts.append(self.parse_arg())
-            self.expect(")")
-            args = tuple(parts)
-        return Atom(predicate=text, args=args)
+            self.parse_arg()
+        raise self.unexpected("')'", self.next())
 
-    def parse_arg(self):
-        tok = self.next()
-        kind, text, _ = tok
-        if kind == "num":
-            return int(text)
-        if kind == "ident":
-            return text
-        raise self.error("expected a constant argument, found %r" % (text or "end of input"), tok)
+    def parse_arg(self) -> None:
+        kind, _, pos = tok = self.next()
+        if kind == "atom":  # a compound argument: the walk stops at its "("
+            raise self.unexpected("')'", ("punct", "(", _TOKEN_RE.match(self.text, pos).start("open")))
+        if kind != "num" and kind != "ident":
+            raise self.unexpected("a constant argument", tok)
 
 
 def parse(text: str, dialect: Dialect) -> Program:
@@ -250,12 +280,8 @@ def render_rule(r: Rule) -> str:
     if r.is_choice:
         lo, up = r.choice_bounds
         head = "%d {%s} %d" % (lo, "; ".join(map(str, r.head_atoms)), up)
-    elif r.kind in (RuleKind.ORDERED, RuleKind.ORDERED_CR):
+    else:  # one head atom, ordered disjuncts or none
         head = " * ".join(map(str, r.head_atoms))
-    elif r.head_atoms:
-        head = str(r.head_atoms[0])
-    else:
-        head = ""
     arrow = ":+" if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR) else ":-"
     if not head:
         return ":- %s." % body

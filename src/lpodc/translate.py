@@ -20,7 +20,7 @@ are built structurally, so an input constant never passes through text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
@@ -172,9 +172,9 @@ def render_item(it) -> str:
         return "%s%s%s" % (render_expr(it.lhs), it.op, render_expr(it.rhs))
     if isinstance(it, RangeBind):
         return "%s=%s..%s" % (it.var.name, render_expr(it.lo), render_expr(it.hi))
-    if isinstance(it, CountExpr):
+    if isinstance(it, (CountExpr, ChoiceExpr)):
         inner = "; ".join(render_elem(el) for el in it.elements)
-        if it.bind is not None:
+        if isinstance(it, CountExpr) and it.bind is not None:
             return "%s={%s}" % (it.bind.name, inner)
         lo = render_expr(it.lower) if it.lower is not None else ""
         hi = render_expr(it.upper) if it.upper is not None else ""
@@ -189,24 +189,16 @@ def render_elem(el: AggElem) -> str:
     return text
 
 
-def render_statement(stmt) -> str:
+def render_statement(stmt, item=render_item) -> str:
+    """One line of solver input; `item` renders each head and body item."""
     if isinstance(stmt, FactPoolStmt):
         return "%s(%s)." % (stmt.pred, "; ".join(str(v) for v in stmt.values))
     if isinstance(stmt, WeakStmt):
-        body = ", ".join(render_item(b) for b in stmt.body)
+        body = ", ".join(map(item, stmt.body))
         terms = "".join(", " + render_expr(t) for t in stmt.terms)
         return ":~ %s. [%d%s]" % (body, stmt.weight, terms)
-    head = stmt.head
-    if isinstance(head, ChoiceExpr):
-        inner = "; ".join(render_elem(el) for el in head.elements)
-        lo = render_expr(head.lower) if head.lower is not None else ""
-        hi = render_expr(head.upper) if head.upper is not None else ""
-        head_text = "%s{%s}%s" % (lo, inner, hi)
-    elif isinstance(head, Lit):
-        head_text = render_item(head)
-    else:
-        head_text = ""
-    body_text = ", ".join(render_item(b) for b in stmt.body)
+    head_text = item(stmt.head) if stmt.head is not None else ""
+    body_text = ", ".join(map(item, stmt.body))
     if not head_text:
         return ":- %s." % body_text
     if not body_text:
@@ -215,9 +207,19 @@ def render_statement(stmt) -> str:
 
 
 def emit(d: AspDocument) -> str:
-    """Deterministic text in construction order, constants first."""
+    """Deterministic text in construction order, constants first. An item
+    shared between statements, such as an extended atom, is rendered once
+    per call, keyed by identity: the document holds every item meanwhile."""
+    texts = {}
+
+    def item(it) -> str:
+        text = texts.get(id(it))
+        if text is None:
+            text = texts[id(it)] = render_item(it)
+        return text
+
     lines = ["#const %s = %s." % (name, value) for name, value in d.constants]
-    lines.extend(render_statement(s) for s in d.statements)
+    lines.extend(render_statement(s, item) for s in d.statements)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -276,17 +278,23 @@ def _assumption_statements(xs: list, domains) -> list:
     ]
 
 
-def _extend_atom(a: Atom, xvars: tuple) -> Lit:
-    return Lit(a.predicate, tuple(a.args) + xvars)
+def _extender(xvars: tuple):
+    """extend(x): a source Atom or Literal as a Lit with xvars appended, one
+    Lit per source object for the translation call that makes `extend`.
+    Keyed by identity: the program holds every source object meanwhile."""
+    lits = {}
+
+    def extend(x) -> Lit:
+        lit = lits.get(id(x))
+        if lit is None:
+            atom, neg = (x, False) if isinstance(x, Atom) else (x.atom, x.negated)
+            lit = lits[id(x)] = Lit(atom.predicate, tuple(atom.args) + xvars, neg)
+        return lit
+
+    return extend
 
 
-def _extend_body(body, xvars: tuple) -> tuple:
-    return tuple(
-        Lit(l.atom.predicate, tuple(l.atom.args) + xvars, neg=l.negated) for l in body
-    )
-
-
-def _compress_choice_elements(atoms, xvars: tuple) -> tuple:
+def _compress_choice_elements(atoms, xvars: tuple, extend) -> tuple:
     """Fold a ground integer family back into one conditional element.
 
     p(...,lo,...) ; ... ; p(...,hi,...) differing in exactly one integer
@@ -314,19 +322,19 @@ def _compress_choice_elements(atoms, xvars: tuple) -> tuple:
                     Lit(first.predicate, args), conds=(RangeBind(v, values[0], values[-1]),)
                 )
                 return (elem,)
-    return tuple(AggElem(_extend_atom(a, xvars)) for a in atoms)
+    return tuple(AggElem(extend(a)) for a in atoms)
 
 
-def _regular_statements(p: Program, xvars: tuple, domains) -> list:
+def _regular_statements(p: Program, xvars: tuple, extend, domains) -> list:
     ap = Lit("ap", xvars)
     out = []
     for r in p.regular_rules:
-        body = (ap,) + _extend_body(r.body, xvars)
+        body = (ap,) + tuple(map(extend, r.body))
         if r.is_choice:
             lo, up = r.choice_bounds
-            head = ChoiceExpr(elements=_compress_choice_elements(r.head_atoms, xvars), lower=lo, upper=up)
+            head = ChoiceExpr(elements=_compress_choice_elements(r.head_atoms, xvars, extend), lower=lo, upper=up)
         elif r.head_atoms:
-            head = _extend_atom(r.head_atoms[0], xvars)
+            head = extend(r.head_atoms[0])
         else:
             head = None
         out.append(RuleStmt(head=head, body=body, tag="regular-rule", var_domains=domains))
@@ -351,25 +359,23 @@ def lpod2asp_base(p: Program) -> AspDocument:
     X, ap = ",".join(xs), _call("ap", xs)
     xvars = tuple(Var(x) for x in xs)
     xdom = _domains(xs, domains)
+    extend = _extender(xvars)
 
-    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, xdom)
+    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, extend, xdom)
     for r in ordered:
         i = r.index
         xi = xvars[i - 1]
         aux = Lit("body_%d" % i, xvars)
-        body = (Lit("ap", xvars),) + _extend_body(r.body, xvars)
+        body = (Lit("ap", xvars),) + tuple(map(extend, r.body))
         stmts.append(RuleStmt(head=aux, body=body, tag="body-definition", var_domains=xdom))
         stmts.append(_rule(":- %s, X%d=0, body_%d(%s)." % (ap, i, i, X), "body-off-constraint", xdom))
         stmts.append(_rule(":- %s, X%d>0, not body_%d(%s)." % (ap, i, i, X), "body-on-constraint", xdom))
         for j, cj in enumerate(r.head_atoms, start=1):
-            head, body = _extend_atom(cj, xvars), (aux, Cmp("=", xi, j))
+            head, body = extend(cj), (aux, Cmp("=", xi, j))
             stmts.append(RuleStmt(head=head, body=body, tag="head-option", var_domains=xdom))
         for j, cj in enumerate(r.head_atoms, start=1):
-            earlier = tuple(
-                Lit(c.predicate, tuple(c.args) + xvars, neg=True)
-                for c in r.head_atoms[: j - 1]
-            )
-            body = (aux, Cmp("!=", xi, j)) + earlier + (_extend_atom(cj, xvars),)
+            earlier = tuple(replace(extend(c), neg=True) for c in r.head_atoms[: j - 1])
+            body = (aux, Cmp("!=", xi, j)) + earlier + (extend(cj),)
             stmts.append(RuleStmt(head=None, body=body, tag="first-true-guard", var_domains=xdom))
 
     degree = "degree(%s,%s)" % (ap, ",".join(ds))
@@ -512,17 +518,18 @@ def crp2asp(p: Program) -> AspDocument:
     xdom = _domains(xs, domains)
     xydom = xdom + _domains(ys, domains)
     pdom = xdom + (("P", _ApTerms(domains)),)
+    extend = _extender(xvars)
 
-    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, xdom)
+    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, extend, xdom)
     for r in rules:
-        body = (Lit("ap", xvars),) + _extend_body(r.body, xvars)
+        body = (Lit("ap", xvars),) + tuple(map(extend, r.body))
         xi = xvars[r.index - 1]
         if r.kind is RuleKind.CR:
-            head, extra = _extend_atom(r.head_atoms[0], xvars), Cmp("=", xi, 1)
+            head, extra = extend(r.head_atoms[0]), Cmp("=", xi, 1)
             stmts.append(RuleStmt(head=head, body=body + (extra,), tag="cr-rule", var_domains=xdom))
             continue
         for j, cj in enumerate(r.head_atoms, start=1):
-            head, extra = _extend_atom(cj, xvars), Cmp("=", xi, j)
+            head, extra = extend(cj), Cmp("=", xi, j)
             stmts.append(RuleStmt(head=head, body=body + (extra,), tag="ordered-option", var_domains=xdom))
     dominate = "dominate(%s,%s) :- %s, %s, " % (ap, ap_y, ap, ap_y)
     # present only when some rule carries an ordered head; then one rule per
@@ -686,23 +693,12 @@ class _DocReader:
 
     def parse_head(self):
         if self.peek() == "{" or (self.peek().isdigit() and self.peek(1) == "{"):
-            lower = None
-            if self.peek() != "{":
-                lower = int(self.next())
-            self.expect("{")
-            elems = [self.parse_elem()]
-            while self.peek() == ";":
-                self.next()
-                elems.append(self.parse_elem())
-            self.expect("}")
-            upper = None
-            if self.peek().isdigit():
-                upper = int(self.next())
-            return ChoiceExpr(elements=tuple(elems), lower=lower, upper=upper)
+            agg = self.parse_count(bind=None)
+            return ChoiceExpr(elements=agg.elements, lower=agg.lower, upper=agg.upper)
         return self.parse_lit()
 
     def parse_elem(self) -> AggElem:
-        item = self.parse_lit() if not self._comparison_ahead() else self.parse_cmp()
+        item = self.parse_item()
         conds = []
         if self.peek() == ":":
             self.next()
@@ -776,12 +772,6 @@ class _DocReader:
         if bind is None and (self.peek().isdigit() or self.at_var()):
             upper = self.parse_expr()
         return CountExpr(elements=tuple(elems), lower=lower, upper=upper, bind=bind)
-
-    def parse_cmp(self) -> Cmp:
-        lhs = self.parse_expr()
-        op = self.next()
-        rhs = self.parse_expr()
-        return Cmp(op=op, lhs=lhs, rhs=rhs)
 
     def parse_lit(self):
         name = self.next()

@@ -218,6 +218,19 @@ def test_parse_matches_goldens():
             assert line == want
 
 
+def test_equal_atom_texts_share_one_atom_per_parse():
+    text = "a(1) :- b, not c(x).\nc(x) :- b, not c(x), a(1).\n"
+    p, q = parse(text, Dialect.LPOD), parse(text, Dialect.LPOD)
+    r1, r2 = p.rules
+    assert r2.body[0] is r1.body[0] and r2.body[1] is r1.body[1]
+    assert r2.head_atoms[0] is r1.body[1].atom and r2.body[2].atom is r1.head_atoms[0]
+
+    def ids(program):
+        return {id(a) for r in program.rules for a in r.atoms()}
+
+    assert len(ids(p)) == 3 and not ids(p) & ids(q)
+
+
 def test_spans_are_made_only_for_errors(monkeypatch):
     made = []
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -14,6 +15,7 @@ from lpodc.model import Dialect, Term, canonicalize
 from lpodc.parser import parse, render
 from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 from lpodc.translate import (
+    AspDocument,
     ChoiceExpr,
     DegenerateProgram,
     Lit,
@@ -304,6 +306,22 @@ def test_criterion_layers_build_no_ap_terms(pi2, pi3p, monkeypatch):
     assert made == []
     ((_, domain),) = [d for d in doc.statements[-1].var_domains if d[0] == "P"]
     assert len(list(domain)) == len(base.tuple_space()) == len(made)
+
+
+def test_identity_memos_end_with_their_call():
+    # the extension and rendering memos are keyed by object identity: a
+    # collected document's ids are reused by the next one's objects
+    texts = ("p(1) * q(a) :- not r(2).\ns :- p(1), not q(a).\n", "u(3) * v :- not w(b).\nx :- v.\n")
+    want = [emit(lpod2asp_pref(canonicalize(parse(t, Dialect.LPOD)), Criterion.PARETO)) for t in texts]
+    for k in range(8):
+        gc.collect()
+        doc = lpod2asp_pref(canonicalize(parse(texts[k % 2], Dialect.LPOD)), Criterion.PARETO)
+        assert emit(doc) == want[k % 2]
+        del doc
+    for text in want:
+        constants, statements = parse_emitted(text)
+        doc = AspDocument(Dialect.LPOD, 0, (), (), frozenset(), statements, constants)
+        assert emit(doc) == text
 
 
 EMITTED = Path(__file__).resolve().parent / "translate" / "emitted.txt"
