@@ -627,6 +627,7 @@ class _DocReader:
         self.toks = _EMIT_TOKEN.findall(stripped)
         self.i = 0
         self.consts: set = set()
+        self.vars: dict = {}  # one Var per name: a document repeats X1,...,Xm in every statement
 
     def peek(self, ahead: int = 0) -> str:
         j = self.i + ahead
@@ -810,7 +811,7 @@ class _DocReader:
                 self.expect(")")
                 return Fn(tok, tuple(parts))
             if tok[0].isupper():
-                return Var(tok)
+                return self.vars.setdefault(tok, Var(tok))
             return ConstRef(tok) if tok in self.consts else tok
 
         expr = atomish()
