@@ -131,11 +131,6 @@ class Rule:
     def head_size(self) -> int:
         return len(self.head_atoms)
 
-    def atoms(self) -> Iterable[Atom]:
-        yield from self.head_atoms
-        for lit in self.body:
-            yield lit.atom
-
 
 @dataclass(frozen=True)
 class Program:

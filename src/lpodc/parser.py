@@ -8,7 +8,7 @@ Grammar sketch (UTF-8, % comments, newline-agnostic):
     head      := atom | atom ("*" atom)+ | INT "{" atom (";" atom)* "}" INT
     body      := literal ("," literal)*
     literal   := ["not"] atom
-    atom      := IDENT | IDENT "(" arg ("," arg)* ")"
+    atom      := IDENT | IDENT "(" arg ("," arg)* ")"             (one token)
     arg       := INT | IDENT
 
 "*" writes ordered disjunction, ":+" the consistency-restoring arrow.
@@ -44,7 +44,9 @@ class ParseError(Exception):
         self.span = span
 
 
-_GAP = r"(?:\s|%[^\n]*\n)*"  # blanks and comments inside an atom, read one way only
+# blanks and comments inside an atom token; a comment runs to its newline,
+# so a gap matches one way only and a near-atom fails in linear time
+_GAP = r"(?:\s|%[^\n]*\n)*"
 _ARG = r"(?:-?\d+|[a-zA-Z_][A-Za-z0-9_]*)"
 _TOKEN_RE = re.compile(
     r"""

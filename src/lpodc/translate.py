@@ -189,7 +189,7 @@ def render_elem(el: AggElem) -> str:
     return text
 
 
-def render_statement(stmt, item=render_item) -> str:
+def render_statement(stmt, item) -> str:
     """One line of solver input; `item` renders each head and body item."""
     if isinstance(stmt, FactPoolStmt):
         return "%s(%s)." % (stmt.pred, "; ".join(str(v) for v in stmt.values))

@@ -113,9 +113,7 @@ def test_check_degenerate_lpod():
 
 def test_shrink_keeps_failing_program_minimal(monkeypatch):
     def fake_check(q, criteria=None, cap=24):
-        bad = any(
-            any(atom.predicate == "smelly" for atom in r.atoms()) for r in q.rules
-        )
+        bad = any(atom.predicate == "smelly" for atom in q.atoms())
         return CheckResult(ok=not bad)
 
     monkeypatch.setattr(crosscheck, "check_program", fake_check)

@@ -226,7 +226,7 @@ def test_equal_atom_texts_share_one_atom_per_parse():
     assert r2.head_atoms[0] is r1.body[1].atom and r2.body[2].atom is r1.head_atoms[0]
 
     def ids(program):
-        return {id(a) for r in program.rules for a in r.atoms()}
+        return {id(a) for r in program.rules for a in r.head_atoms + tuple(lit.atom for lit in r.body)}
 
     assert len(ids(p)) == 3 and not ids(p) & ids(q)
 
