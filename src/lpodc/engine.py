@@ -9,14 +9,15 @@ The search core works on rows over atoms 0..n-1, every atom set a bit
 mask: a row is (head, pos, neg, aggs), head being None (constraint), the
 head atom's bit, or (elements, lower, upper) for a bounded choice, and
 aggs one (lower, upper, elements, fixed) per count aggregate.
-`answer_sets_each` compiles a family of `GroundProgram`s into rows over
+`rows_of` is the one row compiler, given the mask of each atom:
+`answer_sets_each` compiles a family of `GroundProgram`s through it over
 one atom order, each distinct rule once (`answer_sets` is the family of
-one); the evaluator compiles its per-tuple templates into rows directly
-and seeds the assumption atom true. The search walks the binary assignment
-tree over a pair of masks (true, false), pruning a branch once a
-constraint is definitely violated and propagating forced values (unit
-constraints, unsupported atoms, cardinality bounds). Every complete
-assignment that survives is re-verified on masks (`is_stable`:
+one), and the evaluator its per-tuple templates over the atom ids it
+assigns, searched with the assumption atom seeded true. The search walks
+the binary assignment tree over a pair of masks (true, false), pruning a
+branch once a constraint is definitely violated and propagating forced
+values (unit constraints, unsupported atoms, cardinality bounds). Every
+complete assignment that survives is re-verified on masks (`is_stable`:
 constraints, choice bounds, least model of the reduct), so the search can
 only lose answer sets, never invent them; the object-level
 `is_answer_set`, `reduct` and a plain subset enumerator are kept for
@@ -289,17 +290,6 @@ def is_stable(rows, interp: int) -> bool:
     return model == interp
 
 
-def penalty_of_rows(weak, interp: int) -> int:
-    """Total penalty of weak rows (weight, terms, pos, neg, aggs) under
-    `interp`; distinct (weight, terms) count once each, as in `penalty_of`."""
-    violated = {
-        (weight, terms)
-        for weight, terms, pos, neg, aggs in weak
-        if pos & interp == pos and not neg & interp and _aggs_state(aggs, interp, ~interp)
-    }
-    return sum(weight for weight, _terms in violated)
-
-
 def solve_rows(rows, n: int, t: int, f: int):
     """Yield the true mask of every answer set of the rows over atoms
     0..n-1 that extends the seed (t, f). Branches on the lowest open atom,
@@ -336,25 +326,26 @@ def _branch_order(p: GroundProgram, atoms: frozenset) -> list:
     return sorted(atoms, key=lambda a: (rank[a], a.sort_key()))
 
 
-def mask_of(bits, keys) -> int:
-    """The union of bits[k] over `keys`."""
+def mask_of(bit, keys) -> int:
+    """The union of bit(k) over `keys`."""
     m = 0
     for k in keys:
-        m |= bits[k]
+        m |= bit(k)
     return m
 
 
-def _rows(p: GroundProgram, order: list) -> list:
-    """The rules of `p` as rows, with atom order[i] at bit i."""
-    bit = {a: 1 << i for i, a in enumerate(order)}
+def rows_of(rules, bit) -> list:
+    """The ground rules `rules` as rows, with bit(atom) the mask of each
+    atom; a rule's body atoms are asked for before its head."""
     rows = []
-    for r in p.rules:
+    for r in rules:
+        pos, neg = mask_of(bit, r.pos), mask_of(bit, r.neg)
+        aggs = tuple((g.lower, g.upper, mask_of(bit, g.atoms), g.fixed) for g in r.aggregates)
         if isinstance(r.head, ChoiceHead):
             head = (mask_of(bit, r.head.atoms), r.head.lower, r.head.upper)
         else:
-            head = None if r.head is None else bit[r.head]
-        aggs = tuple((g.lower, g.upper, mask_of(bit, g.atoms), g.fixed) for g in r.aggregates)
-        rows.append((head, mask_of(bit, r.pos), mask_of(bit, r.neg), aggs))
+            head = None if r.head is None else bit(r.head)
+        rows.append((head, pos, neg, aggs))
     return rows
 
 
@@ -370,7 +361,8 @@ def answer_sets_each(programs, cap: Optional[int] = DEFAULT_ATOM_CAP) -> list:
     if cap is not None and len(atoms) > cap:
         raise CapExceeded(len(atoms), cap)
     order = _branch_order(union, atoms)
-    row = dict(zip(map(id, rules), _rows(union, order)))
+    bit = {a: 1 << i for i, a in enumerate(order)}
+    row = dict(zip(map(id, rules), rows_of(rules, bit.__getitem__)))
 
     def decode(t):
         return AnswerSet(atoms=frozenset(a for i, a in enumerate(order) if t >> i & 1))

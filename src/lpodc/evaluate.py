@@ -10,12 +10,16 @@ computes with, into a template whose atoms name every X_i by its
 parameter, and compiled once into engine rows over atom ids shared by the
 whole document. A tuple's program is its templates' rows, those of each
 gate put together once per value, searched with the id of `ap(X1,...,Xm)`
-seeded true (`_solve_tuple`); atoms with the tuple's values are built for
-its models only. `tuple_ground_program`, the statements ground with every
-X_i fixed, is the reference. The cross-tuple layer (preference / dominance
-/ candidate / preferred) is evaluated bottom-up in dependency order: each
-statement runs once after every statement that defines a predicate it
-reads; only a positive cycle is iterated to its fixpoint. One body walker
+seeded true (`_solve_tuple`) and without weak rows: the one weak
+statement costs every model of a tuple the same. The models stay masks
+until one decode per document (`_solve_tuples`) projects them onto σ
+through each id's σ atom, found once, and builds atoms with a tuple's
+values for the `degree` or `isPreferred` rows only. `tuple_ground_program`,
+the statements ground with every X_i fixed, is the reference. The
+cross-tuple layer (preference / dominance / candidate / preferred) is
+evaluated bottom-up in dependency order: each statement runs once after
+every statement that defines a predicate it reads; only a positive cycle
+is iterated to its fixpoint. One body walker
 serves both layers: `_plan` compiles a body once, in its join order, into
 closures over a list of variable slots that ground it (counts over atoms
 become engine aggregates) or evaluate it over the relations (literals look
@@ -41,7 +45,7 @@ from .engine import (
     GroundProgram,
     GroundRule,
     WeakConstraint,
-    penalty_of_rows,
+    rows_of,
     solve_rows,
 )
 from .model import AnswerSet, Atom, Dialect, Term
@@ -409,8 +413,8 @@ class _Gated(int):
 
 def _gate(stmt, m: int) -> tuple:
     """Indices i of the X_{i+1} whose value shapes the grounding of `stmt`:
-    every use but a plain literal argument, an argument nested in a term,
-    or a weak-constraint term. The other X_i only name the atoms."""
+    every use but a plain literal argument or an argument nested in a
+    term. The other X_i only name the atoms."""
     used: set = set()
 
     def plain(e):
@@ -434,10 +438,7 @@ def _gate(stmt, m: int) -> tuple:
             for it in (el.item,) + el.conds:
                 item(it)
 
-    if isinstance(stmt, WeakStmt):
-        for t in stmt.terms:
-            plain(t)
-    elif isinstance(stmt, RuleStmt):
+    if isinstance(stmt, RuleStmt):
         head = stmt.head
         if isinstance(head, Lit):
             item(head)
@@ -480,34 +481,17 @@ def _subst(v, kind: type, values: tuple):
     return v
 
 
-def _compile(objs, params: tuple, ids: dict) -> tuple:
-    """Engine rows and weak rows (weight, terms, pos, neg, aggs) of one
-    template's ground objects, over the atom ids of `ids`: each atom is
-    named by `params` in place of its gated values and given the next id
-    on first sight."""
-
-    def mask(atoms) -> int:
-        m = 0
-        for a in atoms:
-            m |= 1 << ids.setdefault(_subst(a, _Gated, params), len(ids))
-        return m
-
-    rows, weak = [], []
-    for obj in objs:
-        body = (mask(obj.pos), mask(obj.neg), tuple((g.lower, g.upper, mask(g.atoms), g.fixed) for g in obj.aggregates))
-        if isinstance(obj, WeakConstraint):
-            weak.append((obj.weight, tuple([_subst(t, _Gated, params) for t in obj.terms])) + body)
-        elif isinstance(obj.head, ChoiceHead):
-            rows.append(((mask(obj.head.atoms), obj.head.lower, obj.head.upper),) + body)
-        else:
-            rows.append((None if obj.head is None else mask((obj.head,)),) + body)
-    return rows, weak
+def _compile(objs, params: tuple, ids: dict) -> list:
+    """Engine rows of one template's ground rules, over the atom ids of
+    `ids`: each atom is named by `params` in place of its gated values and
+    given the next id on first sight."""
+    return rows_of(objs, lambda a: 1 << ids.setdefault(_subst(a, _Gated, params), len(ids)))
 
 
-def _tuple_rows(doc: AspDocument, xs: tuple) -> tuple:
-    """The rows and weak rows of tuple `xs`'s program: the rows of each
-    tuple-phase statement's template for the tuple's value of its gate (see
-    `_gate`), compiled on first use. `doc.templates` keeps the templates by
+def _tuple_rows(doc: AspDocument, xs: tuple) -> list:
+    """The rows of tuple `xs`'s program: the rows of each tuple-phase
+    statement's template for the tuple's value of its gate (see `_gate`),
+    compiled on first use. `doc.templates` keeps the templates by
     statement and gate value, the document's `_Param`s and the id table,
     which maps each template atom to its bit position in every tuple, and
     per gate the rows of its statements, put together once per value."""
@@ -523,20 +507,20 @@ def _tuple_rows(doc: AspDocument, xs: tuple) -> tuple:
     if "statements" not in templates:
         m = len(doc.domains)
         templates["params"], templates["ids"], templates["groups"] = tuple(_Param(i) for i in range(m)), {}, {}
+        # the one weak statement, :~ ap(X1,...,Xm). [-1, X1,...,Xm], is left
+        # out: `_solve_tuple` seeds ap(xs) true, so every model pays the same
         tuple_phase = [_drop_covering(s, doc.domains) for s in doc.statements if s.phase == "tuple"]
-        templates["statements"] = [(s, _gate(s, m), {}) for s in tuple_phase]
+        templates["statements"] = [(s, _gate(s, m), {}) for s in tuple_phase if not isinstance(s, WeakStmt)]
         for t in templates["statements"]:
             template(*t)  # the first tuple numbers the atoms in statement order
             templates["groups"].setdefault(t[1], ([], {}))[0].append(t)
-    rows, weak = [], []
+    rows = []
     for gate, (members, combined) in templates["groups"].items():
         value = tuple([xs[g] for g in gate])
         if value not in combined:
-            parts = [template(*t) for t in members]
-            combined[value] = ([r for p in parts for r in p[0]], [w for p in parts for w in p[1]])
-        rows += combined[value][0]
-        weak += combined[value][1]
-    return rows, weak
+            combined[value] = [r for t in members for r in template(*t)]
+        rows += combined[value]
+    return rows
 
 
 def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
@@ -692,26 +676,30 @@ class EvaluatedTranslation:
 
 
 def _solve_tuple(doc: AspDocument, xs: tuple) -> list:
-    """Optimal models of one tuple's program that contain its ap atom.
+    """Optimal models of one tuple's program that contain its ap atom, as
+    masks over the document's atom ids.
 
     The tuple's rows are searched with the id of `ap(X1,...,Xm)` seeded
     true: the program's only weak constraint is its instance of
     `:~ ap(xs). [-1]`, so its optimal models that contain `ap(xs)` are its
     answer sets that contain it. Ids outside the tuple's rows are false as
-    unsupported. Atoms are built, with the tuple's values, for those
-    answer sets only.
+    unsupported. `_solve_tuples` decodes the masks.
     """
-    rows, weak = _tuple_rows(doc, xs)
-    ids = doc.templates["ids"]
-    keys, models = list(ids), []
-    for t in solve_rows(rows, len(keys), 1 << ids[Atom("ap", doc.templates["params"])], 0):
-        atoms = frozenset(_subst(keys[i], _Param, xs) for i in range(len(keys)) if t >> i & 1)
-        models.append(AnswerSet(atoms=atoms, penalty=penalty_of_rows(weak, t)))
-    return sorted(models, key=AnswerSet.sort_key)
+    rows, templates = _tuple_rows(doc, xs), doc.templates
+    return list(solve_rows(rows, len(templates["ids"]), 1 << templates["ids"][Atom("ap", templates["params"])], 0))
 
 
-def _solve_tuples(doc: AspDocument, cap: int) -> dict:
-    """Consistent tuples, in tuple-space order, mapped to their models."""
+def _solve_tuples(doc: AspDocument, cap: int, pred: str) -> tuple:
+    """The tuple layer of `doc`, solved and then decoded once, and the
+    argument rows of the `pred` atoms of each consistent tuple's models.
+
+    The layer holds the consistent tuples, in tuple-space order, their
+    models' projections onto σ, and the `ap` and `pred` rows as relations.
+    Each id's σ atom is found once, by `shrink`'s rule: the template atom's
+    last m arguments are the `_Param`s and the atom of the arguments before
+    them is in σ (with m = 0, the atom itself is). Only `pred` atoms are
+    built with a tuple's values.
+    """
     if len(doc.sigma) > cap:
         raise CapExceeded(len(doc.sigma), cap)
     solved = {}
@@ -719,23 +707,28 @@ def _solve_tuples(doc: AspDocument, cap: int) -> dict:
         models = _solve_tuple(doc, xs)
         if models:
             solved[xs] = models
-    return solved
-
-
-def _evaluated(doc: AspDocument, solved: dict, degrees: dict, relations: dict) -> EvaluatedTranslation:
-    projections = {
-        xs: tuple(sorted({shrink(s.atoms, xs, doc.sigma).atoms for s in models}, key=sorted_key))
-        for xs, models in solved.items()
-    }
-    return EvaluatedTranslation(
+    params = doc.templates["params"]
+    m, sigma, found = len(params), [], []
+    for i, a in enumerate(doc.templates["ids"]):
+        base = a if m == 0 else Atom(a.predicate, a.args[:-m]) if a.args[-m:] == params else None
+        if base in doc.sigma:
+            sigma.append((1 << i, base))
+        if a.predicate == pred:
+            found.append((1 << i, a.args))
+    projections, rows = {}, {}
+    for xs, models in solved.items():
+        projections[xs] = tuple(sorted({frozenset([b for bit, b in sigma if t & bit]) for t in models}, key=sorted_key))
+        rows[xs] = [tuple([_subst(v, _Param, xs) for v in args]) for t in models for bit, args in found if t & bit]
+    ev = EvaluatedTranslation(
         dialect=doc.dialect,
         sigma=doc.sigma,
         domains=doc.domains,
         ap_tuples=tuple(sorted(solved)),
         projections=projections,
-        degrees=degrees,
-        relations=relations,
+        degrees={},
+        relations={"ap": set(solved), pred: {row for by_tuple in rows.values() for row in by_tuple}},
     )
+    return ev, rows
 
 
 def eval_lpod(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTranslation:
@@ -744,19 +737,9 @@ def eval_lpod(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTransla
     On `lpod2asp_base` the result is the tuple layer alone: its relations
     are the `ap` and `degree` rows, ready for `with_criterion`.
     """
-    solved = _solve_tuples(doc, cap)
-    degrees = {}
-    degree_rows = set()
-    for xs, models in solved.items():
-        degs = None
-        for s in models:
-            for a in s.atoms:
-                if a.predicate == "degree":
-                    degs = tuple(a.args[1:])
-                    degree_rows.add(tuple(a.args))
-        degrees[xs] = degs
-    tuples = _evaluated(doc, solved, degrees, {"ap": set(solved), "degree": degree_rows})
-    return with_criterion(tuples, doc)
+    tuples, found = _solve_tuples(doc, cap, "degree")
+    degrees = {xs: rows[-1][1:] if rows else None for xs, rows in found.items()}
+    return with_criterion(replace(tuples, degrees=degrees), doc)
 
 
 def with_criterion(ev: EvaluatedTranslation, doc: AspDocument) -> EvaluatedTranslation:
@@ -775,16 +758,8 @@ def with_criterion(ev: EvaluatedTranslation, doc: AspDocument) -> EvaluatedTrans
 
 def eval_crp(doc: AspDocument, cap: int = DEFAULT_ATOM_CAP) -> EvaluatedTranslation:
     """Per-tuple solving plus dominance/candidate/preferred layers."""
-    solved = _solve_tuples(doc, cap)
-    ispref_rows = {
-        tuple(a.args)
-        for models in solved.values()
-        for s in models
-        for a in s.atoms
-        if a.predicate == "isPreferred"
-    }
-    relations = evaluate_global_layer(doc, {"ap": set(solved), "isPreferred": ispref_rows})
-    return _evaluated(doc, solved, {}, relations)
+    tuples, _ = _solve_tuples(doc, cap, "isPreferred")
+    return replace(tuples, relations=evaluate_global_layer(doc, tuples.relations))
 
 
 def sorted_key(atoms: frozenset):

@@ -12,7 +12,6 @@ from lpodc.engine import (
     GroundRule,
     WeakConstraint,
     _branch_order,
-    _rows,
     answer_sets,
     answer_sets_each,
     brute_force_answer_sets,
@@ -21,6 +20,7 @@ from lpodc.engine import (
     optimal_answer_sets,
     penalty_of,
     reduct,
+    rows_of,
     solve_rows,
 )
 from lpodc.model import Atom, Dialect, canonicalize
@@ -187,7 +187,7 @@ def test_row_core_matches_brute_force_in_any_atom_order():
             p = random_ground_program(rng, max_atoms=7, with_choice=True, with_aggregates=aggregates)
             order = sorted(p.atoms, key=Atom.sort_key)
             rng.shuffle(order)
-            rows = _rows(p, order)
+            rows = rows_of(p.rules, {a: 1 << i for i, a in enumerate(order)}.__getitem__)
             expected = sets(brute_force_answer_sets(p))
 
             def solved(t, f):
@@ -215,7 +215,7 @@ def test_leaf_check_rejects_a_positive_loop():
     assert sets(answer_sets(p)) == {frozenset(), frozenset({"c"})}
     assert sets(brute_force_answer_sets(p)) == sets(answer_sets(p))
     order = _branch_order(p, p.atoms)
-    rows = _rows(p, order)
+    rows = rows_of(p.rules, {a: 1 << i for i, a in enumerate(order)}.__getitem__)
     loop = sum(1 << i for i, a in enumerate(order) if a in (A, B))
     assert not is_stable(rows, loop)
 

@@ -17,6 +17,7 @@ from lpodc.evaluate import (
     evaluate_global_layer,
     ground_document,
     shrink,
+    sorted_key,
     tuple_ground_program,
     with_criterion,
 )
@@ -333,49 +334,39 @@ def _tuple_corpus(pi1, pi2, pi3, pi3p) -> list:
     return docs
 
 
-def _searched_rules(doc, xs) -> tuple:
-    """The rows `_solve_tuple` searches for `xs`, decoded through the id
-    table with the tuple's values substituted: multisets of (head, pos,
-    neg, aggregates) for the rules and (weight, terms, pos, neg,
-    aggregates) for the weak constraints, over atom sets."""
-    rows, weak = evaluate._tuple_rows(doc, xs)
+def _atoms_of(doc, xs):
+    """Decodes a mask over the document's atom ids, as numbered so far,
+    into the atoms it holds with the tuple's values substituted."""
     atoms = [evaluate._subst(a, evaluate._Param, xs) for a in doc.templates["ids"]]
+    return lambda mask: frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
-    def decode(mask):
-        return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
-    def body(pos, neg, aggs):
-        return decode(pos), decode(neg), tuple((lo, hi, decode(elem), fixed) for lo, hi, elem, fixed in aggs)
+def _searched_rules(doc, xs) -> Counter:
+    """The rows `_solve_tuple` searches for `xs`, decoded through the id
+    table with the tuple's values substituted: a multiset of (head, pos,
+    neg, aggregates) over atom sets."""
+    rows = evaluate._tuple_rows(doc, xs)
+    decode = _atoms_of(doc, xs)
 
     def head(h):
         if type(h) is tuple:
             return (decode(h[0]),) + h[1:]
         return h if h is None else decode(h)
 
-    def terms(ts):
-        return tuple(evaluate._subst(t, evaluate._Param, xs) for t in ts)
-
-    return (
-        Counter((head(h),) + body(pos, neg, aggs) for h, pos, neg, aggs in rows),
-        Counter((w, terms(ts)) + body(pos, neg, aggs) for w, ts, pos, neg, aggs in weak),
-    )
+    aggregates = lambda aggs: tuple((lo, hi, decode(elem), fixed) for lo, hi, elem, fixed in aggs)
+    return Counter((head(h), decode(pos), decode(neg), aggregates(aggs)) for h, pos, neg, aggs in rows)
 
 
-def _ground_rules(prog) -> tuple:
-    """The multisets of `_searched_rules` for a ground program."""
-
-    def body(r):
-        return r.pos, r.neg, tuple((g.lower, g.upper, g.atoms, g.fixed) for g in r.aggregates)
+def _ground_rules(prog) -> Counter:
+    """The multiset of `_searched_rules` for the rules of a ground program."""
 
     def head(h):
         if isinstance(h, ChoiceHead):
             return (frozenset(h.atoms), h.lower, h.upper)
         return h if h is None else frozenset({h})
 
-    return (
-        Counter((head(r.head),) + body(r) for r in prog.rules),
-        Counter((w.weight, w.terms) + body(w) for w in prog.weak),
-    )
+    aggregates = lambda aggs: tuple((g.lower, g.upper, g.atoms, g.fixed) for g in aggs)
+    return Counter((head(r.head), r.pos, r.neg, aggregates(r.aggregates)) for r in prog.rules)
 
 
 def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
@@ -386,7 +377,12 @@ def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
         statements = _tuple_phase(doc)
         for xs in doc.tuple_space():
             fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
-            assert _searched_rules(doc, xs) == _ground_rules(_ground(doc, statements, fixed)), xs
+            reference = _ground(doc, statements, fixed)
+            assert _searched_rules(doc, xs) == _ground_rules(reference), xs
+            # its one weak constraint is :~ ap(xs). [-1, xs], which every
+            # model of the tuple's search pays, so the search has no weak rows
+            weak = [(w.weight, w.terms, w.pos, w.neg, w.aggregates) for w in reference.weak]
+            assert weak == [(-1, xs, frozenset({Atom("ap", xs)}), frozenset(), ())], xs
             tuples += 1
     assert len(docs) == 140 and tuples > 1500
 
@@ -469,16 +465,32 @@ def test_solve_tuple_builds_no_ground_program(pi2, monkeypatch):
 
 
 def test_solve_tuple_equals_optimal_models_with_ap(pi1, pi2, pi3, pi3p):
-    # the reference solves the tuple's GroundProgram with weak constraints
-    tuples = models = 0
-    for doc in _tuple_corpus(pi1, pi2, pi3, pi3p):
+    # the reference solves the tuple's GroundProgram with weak constraints;
+    # the document's decode projects its models as shrink does and finds
+    # the degree / isPreferred rows a scan of them finds
+    tuples = models = no_params = 0
+    # with m = 0 every atom of σ is its own projection, arguments and all
+    args = crp2asp(canonicalize(parse("p(1).\nq(2) :- p(1), not r(3).\nr(3) :- not q(2).", Dialect.CRP2)))
+    for doc in _tuple_corpus(pi1, pi2, pi3, pi3p) + [args]:
+        pred = "isPreferred" if doc.dialect is Dialect.CRP2 else "degree"
+        projections, scanned = {}, {}
         for xs in doc.tuple_space():
             best = optimal_answer_sets(tuple_ground_program(doc, xs), cap=None)
-            expected = [s for s in best if Atom("ap", xs) in s.atoms]
-            assert _solve_tuple(doc, xs) == expected, xs
+            with_ap = [s for s in best if Atom("ap", xs) in s.atoms]
+            assert all(s.penalty == -1 for s in with_ap), xs
+            expected = [s.atoms for s in with_ap]
+            got = _solve_tuple(doc, xs)
+            assert Counter(map(_atoms_of(doc, xs), got)) == Counter(expected), xs
+            if got:
+                projections[xs] = tuple(sorted({shrink(s, xs, doc.sigma).atoms for s in expected}, key=sorted_key))
+                scanned[xs] = {tuple(a.args) for s in expected for a in s if a.predicate == pred}
             tuples += 1
             models += len(expected)
-    assert tuples > 1500 and models > 400
+        layer, found = evaluate._solve_tuples(doc, len(doc.sigma), pred)
+        assert layer.projections == projections
+        assert {xs: set(rows) for xs, rows in found.items()} == scanned
+        no_params += not doc.domains
+    assert tuples > 1500 and models > 400 and no_params >= 1
 
 
 def test_solve_tuple_rejects_unfounded_loops():
@@ -487,11 +499,14 @@ def test_solve_tuple_rejects_unfounded_loops():
     doc = lpod2asp_base(p)
     found = 0
     for xs in doc.tuple_space():
-        got = _solve_tuple(doc, xs)
+        masks = _solve_tuple(doc, xs)
+        got = [_atoms_of(doc, xs)(t) for t in masks]
         for s in got:
-            assert not {a.predicate for a in s.atoms} & {"p", "q", "c"}, (xs, s)
+            assert not {a.predicate for a in s} & {"p", "q", "c"}, (xs, s)
         best = optimal_answer_sets(tuple_ground_program(doc, xs), cap=None)
-        assert got == [s for s in best if Atom("ap", xs) in s.atoms]
+        expected = [s for s in best if Atom("ap", xs) in s.atoms]
+        assert Counter(got) == Counter(s.atoms for s in expected)
+        assert all(s.penalty == -1 for s in expected)
         found += len(got)
     assert found == 2
 
