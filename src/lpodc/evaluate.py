@@ -5,10 +5,12 @@ at a time (the partial ground programs share no atoms), which keeps the
 search spaces tiny. Those statements take the tuple X1..Xm as extra
 arguments, so the per-tuple programs have the same atoms up to those
 values and differ only where a statement tests an X_i. Each statement is
-ground once per value of its gate, the X_i it compares, ranges over or
-computes with, into a template whose atoms name every X_i by its
-parameter, and compiled once into engine rows over atom ids shared by the
-whole document. A tuple's program is its templates' rows, those of each
+rewritten once (`_template`): an X_i that is an atom argument becomes the
+constant "Xi", and the X_i it still uses as variables, those it compares,
+ranges over or computes with, are its gate. The rewritten statement is
+ground once per value of its gate into a template whose atoms name every
+X_i by "Xi", and compiled once into engine rows over atom ids shared by
+the whole document. A tuple's program is its templates' rows, those of each
 gate put together once per value, searched with the id of `ap(X1,...,Xm)`
 seeded true (`_solve_tuple`) and without weak rows: the one weak
 statement costs every model of a tuple the same. The models stay masks
@@ -50,6 +52,7 @@ from .engine import (
 )
 from .model import AnswerSet, Atom, Dialect, Term
 from .translate import (
+    AggElem,
     AspDocument,
     BinOp,
     ChoiceExpr,
@@ -63,6 +66,7 @@ from .translate import (
     RuleStmt,
     Var,
     WeakStmt,
+    _names,
 )
 
 
@@ -91,8 +95,8 @@ def _item_vars(it, out: set) -> set:
         out.add(it.var.name)
         _expr_vars(it.lo, out)
         _expr_vars(it.hi, out)
-    elif isinstance(it, CountExpr):
-        if it.bind is not None:
+    elif isinstance(it, (CountExpr, ChoiceExpr)):
+        if getattr(it, "bind", None) is not None:
             out.add(it.bind.name)
         for b in (it.lower, it.upper):
             if b is not None:
@@ -107,13 +111,8 @@ def _outer_vars(stmt) -> set:
     if isinstance(stmt, WeakStmt):
         for t in stmt.terms:
             _expr_vars(t, out)
-    elif isinstance(stmt, RuleStmt):
-        if isinstance(stmt.head, Lit):
-            _item_vars(stmt.head, out)
-        elif isinstance(stmt.head, ChoiceExpr):
-            for b in (stmt.head.lower, stmt.head.upper):
-                if b is not None:
-                    _expr_vars(b, out)
+    elif isinstance(stmt, RuleStmt) and stmt.head is not None:
+        _item_vars(stmt.head, out)
     for it in getattr(stmt, "body", ()):
         _item_vars(it, out)
     return out
@@ -384,133 +383,77 @@ def _ground(doc: AspDocument, statements, fixed: dict) -> GroundProgram:
     return GroundProgram(rules=tuple(rules), weak=tuple(weak))
 
 
-class _Param:
-    """Stands for the tuple value X_{index+1} in the atoms of a template;
-    a document has one per index, so that equal template atoms are equal
-    keys of its id table."""
+def _template(stmt, xnames: list, domains: tuple) -> tuple:
+    """`stmt` rewritten for the tuple layer, and its gate. Each X_i that is
+    an atom argument, plain or nested in a term, becomes the constant "Xi"
+    (no input constant starts upper-case), and element conditions
+    `X_i = lo..hi` whose range covers X_i's domain are dropped: every tuple
+    meets them. The gate is the indices of the X_i still used as variables,
+    those compared, ranged over or computed with."""
+    if isinstance(stmt, FactPoolStmt):
+        return stmt, ()
+    dom, used = dict(zip(xnames, domains)), set()
 
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def __repr__(self) -> str:
-        return "X%d" % (self.index + 1)
-
-
-class _Gated(int):
-    """The value of an X_{index+1} that a statement gates on: compared,
-    ranged over and computed with as the int it is, while the atoms it
-    stands in are named by the X_i's `_Param`, as in every template. An
-    atom argument computed from it would be a plain int; no statement of
-    the translations has one."""
-
-    def __new__(cls, value: int, index: int):
-        self = int.__new__(cls, value)
-        self.index = index
-        return self
-
-
-def _gate(stmt, m: int) -> tuple:
-    """Indices i of the X_{i+1} whose value shapes the grounding of `stmt`:
-    every use but a plain literal argument or an argument nested in a
-    term. The other X_i only name the atoms."""
-    used: set = set()
-
-    def plain(e):
+    def arg(e):
+        if isinstance(e, Var):
+            return e.name if e.name in dom else e
         if isinstance(e, Fn):
-            for a in e.args:
-                plain(a)
-        elif not isinstance(e, Var):
-            _expr_vars(e, used)  # arithmetic
+            return Fn(e.name, tuple([arg(a) for a in e.args]))
+        _expr_vars(e, used)  # arithmetic
+        return e
+
+    def covers(c):
+        return isinstance(c, RangeBind) and c.var.name in dom and set(dom[c.var.name]) <= set(range(c.lo, c.hi + 1))
 
     def item(it):
         if isinstance(it, Lit):
-            for a in it.args:
-                plain(a)
-            return
+            return Lit(it.pred, tuple([arg(a) for a in it.args]), it.neg)
+        if isinstance(it, (CountExpr, ChoiceExpr)):
+            conds = lambda el: tuple([item(c) for c in el.conds if not covers(c)])
+            it = replace(it, elements=tuple([AggElem(item(el.item), conds(el)) for el in it.elements]))
         _item_vars(it, used)
-        if isinstance(it, CountExpr):
-            elements(it.elements)
+        return it
 
-    def elements(els):
-        for el in els:
-            for it in (el.item,) + el.conds:
-                item(it)
-
-    if isinstance(stmt, RuleStmt):
-        head = stmt.head
-        if isinstance(head, Lit):
-            item(head)
-        elif isinstance(head, ChoiceExpr):
-            for b in (head.lower, head.upper):
-                if b is not None:
-                    _expr_vars(b, used)
-            elements(head.elements)
-    for it in getattr(stmt, "body", ()):
-        item(it)
-    return tuple(i for i in range(m) if "X%d" % (i + 1) in used)
+    head = stmt.head if stmt.head is None else item(stmt.head)
+    stmt = RuleStmt(head, tuple([item(it) for it in stmt.body]), stmt.tag, stmt.phase, stmt.var_domains)
+    return stmt, tuple(i for i, x in enumerate(xnames) if x in used)
 
 
-def _drop_covering(stmt, domains: tuple):
-    """`stmt` without the choice-element conditions `X_i = lo..hi` whose
-    range covers the domain of X_i: every tuple meets them, so they would
-    only gate the statement on X_i."""
-    head = getattr(stmt, "head", None)
-    if not isinstance(head, ChoiceExpr):
-        return stmt
-    dom = {Var("X%d" % (i + 1)): set(d) for i, d in enumerate(domains)}
-
-    def covers(c):
-        return isinstance(c, RangeBind) and c.var in dom and dom[c.var] <= set(range(c.lo, c.hi + 1))
-
-    elements = tuple(replace(el, conds=tuple(c for c in el.conds if not covers(c))) for el in head.elements)
-    return replace(stmt, head=replace(head, elements=elements))
-
-
-def _subst(v, kind: type, values: tuple):
-    """`v` (an atom, a term or a constant) with each argument of type
-    `kind` (`_Param` or `_Gated`) replaced by values[its index]."""
+def _subst(v, values: dict):
+    """`v` (an atom, a term or a constant) with each "Xi" of a template
+    replaced by values["Xi"]."""
     t = type(v)
-    if t is kind:
-        return values[v.index]
+    if t is str:
+        return values.get(v, v)
     if t is Atom:
-        return Atom(v.predicate, tuple([_subst(a, kind, values) for a in v.args]))
+        return Atom(v.predicate, tuple([_subst(a, values) for a in v.args]))
     if t is Term:
-        return Term(v.functor, tuple([_subst(a, kind, values) for a in v.args]))
+        return Term(v.functor, tuple([_subst(a, values) for a in v.args]))
     return v
-
-
-def _compile(objs, params: tuple, ids: dict) -> list:
-    """Engine rows of one template's ground rules, over the atom ids of
-    `ids`: each atom is named by `params` in place of its gated values and
-    given the next id on first sight."""
-    return rows_of(objs, lambda a: 1 << ids.setdefault(_subst(a, _Gated, params), len(ids)))
 
 
 def _tuple_rows(doc: AspDocument, xs: tuple) -> list:
     """The rows of tuple `xs`'s program: the rows of each tuple-phase
-    statement's template for the tuple's value of its gate (see `_gate`),
-    compiled on first use. `doc.templates` keeps the templates by
-    statement and gate value, the document's `_Param`s and the id table,
-    which maps each template atom to its bit position in every tuple, and
-    per gate the rows of its statements, put together once per value."""
-    templates = doc.templates
+    statement's template (see `_template`) ground with the tuple's value of
+    its gate, compiled on first use. `doc.templates` keeps the rewritten
+    statements with their templates by gate value, the id table, which maps
+    each template atom to its bit position in every tuple, and per gate the
+    rows of its statements, put together once per value."""
+    templates, names = doc.templates, _names("X", doc.m)
 
     def template(stmt, gate, by_value):
         value = tuple([xs[g] for g in gate])
         if value not in by_value:
-            fixed = {"X%d" % (i + 1): _Gated(xs[i], i) if i in gate else p for i, p in enumerate(templates["params"])}
-            by_value[value] = _compile(_ground_statement(stmt, doc, fixed), templates["params"], templates["ids"])
+            objs, ids = _ground_statement(stmt, doc, {names[g]: xs[g] for g in gate}), templates["ids"]
+            by_value[value] = rows_of(objs, lambda a: 1 << ids.setdefault(a, len(ids)))
         return by_value[value]
 
     if "statements" not in templates:
-        m = len(doc.domains)
-        templates["params"], templates["ids"], templates["groups"] = tuple(_Param(i) for i in range(m)), {}, {}
+        templates["ids"], templates["groups"] = {}, {}
         # the one weak statement, :~ ap(X1,...,Xm). [-1, X1,...,Xm], is left
         # out: `_solve_tuple` seeds ap(xs) true, so every model pays the same
-        tuple_phase = [_drop_covering(s, doc.domains) for s in doc.statements if s.phase == "tuple"]
-        templates["statements"] = [(s, _gate(s, m), {}) for s in tuple_phase if not isinstance(s, WeakStmt)]
+        tuple_phase = [s for s in doc.statements if s.phase == "tuple" and not isinstance(s, WeakStmt)]
+        templates["statements"] = [_template(s, names, doc.domains) + ({},) for s in tuple_phase]
         for t in templates["statements"]:
             template(*t)  # the first tuple numbers the atoms in statement order
             templates["groups"].setdefault(t[1], ([], {}))[0].append(t)
@@ -685,8 +628,8 @@ def _solve_tuple(doc: AspDocument, xs: tuple) -> list:
     answer sets that contain it. Ids outside the tuple's rows are false as
     unsupported. `_solve_tuples` decodes the masks.
     """
-    rows, templates = _tuple_rows(doc, xs), doc.templates
-    return list(solve_rows(rows, len(templates["ids"]), 1 << templates["ids"][Atom("ap", templates["params"])], 0))
+    rows, ids = _tuple_rows(doc, xs), doc.templates["ids"]
+    return list(solve_rows(rows, len(ids), 1 << ids[Atom("ap", tuple(_names("X", doc.m)))], 0))
 
 
 def _solve_tuples(doc: AspDocument, cap: int, pred: str) -> tuple:
@@ -696,9 +639,9 @@ def _solve_tuples(doc: AspDocument, cap: int, pred: str) -> tuple:
     The layer holds the consistent tuples, in tuple-space order, their
     models' projections onto σ, and the `ap` and `pred` rows as relations.
     Each id's σ atom is found once, by `shrink`'s rule: the template atom's
-    last m arguments are the `_Param`s and the atom of the arguments before
-    them is in σ (with m = 0, the atom itself is). Only `pred` atoms are
-    built with a tuple's values.
+    last m arguments are "X1", ..., "Xm" and the atom of the arguments
+    before them is in σ (with m = 0, the atom itself is). Only `pred` atoms
+    are built with a tuple's values.
     """
     if len(doc.sigma) > cap:
         raise CapExceeded(len(doc.sigma), cap)
@@ -707,10 +650,9 @@ def _solve_tuples(doc: AspDocument, cap: int, pred: str) -> tuple:
         models = _solve_tuple(doc, xs)
         if models:
             solved[xs] = models
-    params = doc.templates["params"]
-    m, sigma, found = len(params), [], []
+    m, names, sigma, found = doc.m, tuple(_names("X", doc.m)), [], []
     for i, a in enumerate(doc.templates["ids"]):
-        base = a if m == 0 else Atom(a.predicate, a.args[:-m]) if a.args[-m:] == params else None
+        base = a if m == 0 else Atom(a.predicate, a.args[:-m]) if a.args[-m:] == names else None
         if base in doc.sigma:
             sigma.append((1 << i, base))
         if a.predicate == pred:
@@ -718,7 +660,8 @@ def _solve_tuples(doc: AspDocument, cap: int, pred: str) -> tuple:
     projections, rows = {}, {}
     for xs, models in solved.items():
         projections[xs] = tuple(sorted({frozenset([b for bit, b in sigma if t & bit]) for t in models}, key=sorted_key))
-        rows[xs] = [tuple([_subst(v, _Param, xs) for v in args]) for t in models for bit, args in found if t & bit]
+        values = dict(zip(names, xs))
+        rows[xs] = [tuple([_subst(v, values) for v in args]) for t in models for bit, args in found if t & bit]
     ev = EvaluatedTranslation(
         dialect=doc.dialect,
         sigma=doc.sigma,

@@ -141,10 +141,10 @@ class AspDocument:
     statements: tuple
     constants: tuple = ()  # (name, value) pairs
     criterion: Optional[str] = None
-    # the tuple layer compiled by evaluate._tuple_rows on first use: the
-    # rows of each tuple-phase statement per gate value, the id table of
-    # the template atoms they share, and each statement's grounder; freed
-    # with the document
+    # the tuple layer compiled by evaluate._tuple_rows on first use: each
+    # tuple-phase statement as evaluate._template rewrites it, with its gate
+    # and its rows per gate value, the id table of the template atoms they
+    # share, and each rewritten statement's grounder; freed with the document
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tuple_space(self) -> tuple:

@@ -337,7 +337,8 @@ def _tuple_corpus(pi1, pi2, pi3, pi3p) -> list:
 def _atoms_of(doc, xs):
     """Decodes a mask over the document's atom ids, as numbered so far,
     into the atoms it holds with the tuple's values substituted."""
-    atoms = [evaluate._subst(a, evaluate._Param, xs) for a in doc.templates["ids"]]
+    values = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
+    atoms = [evaluate._subst(a, values) for a in doc.templates["ids"]]
     return lambda mask: frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
 
@@ -394,15 +395,29 @@ def test_template_atoms_have_one_id_per_document(pi1, monkeypatch):
     ids = doc.templates["ids"]
     for pred in ("ap", "body_1"):
         assert [str(a) for a in ids if a.predicate == pred] == ["%s(X1,X2)" % pred]
-    # body_1 is named alike by an ungated statement and one gated on X1
-    gates = {(s.tag, gate) for s, gate, _ in doc.templates["statements"]}
-    assert {("body-definition", ()), ("body-off-constraint", (0,))} <= gates
+    # body_1 is named alike by an ungated statement and one gated on X1;
+    # an X_i nested in a term, as in degree(ap(X1,X2),D1,D2), gates nothing
+    gated = {"body-off-constraint", "body-on-constraint", "degree-from-positive", "degree-from-zero"}
+    gated |= {"first-true-guard", "head-option"}
+    expected = {(tag, (i,)) for tag in gated for i in (0, 1)}
+    expected |= {("assumption-choice", ()), ("body-definition", ()), ("degree-choice", ())}
+    assert {(s.tag, gate) for s, gate, _ in doc.templates["statements"]} == expected
     calls, ground = [], evaluate._ground_statement
     monkeypatch.setattr(evaluate, "_ground_statement", lambda *args: calls.append(args) or ground(*args))
     before = dict(ids)
     for xs in doc.tuple_space():
         _solve_tuple(doc, xs)
     assert ids == before and calls == []
+
+
+def test_crp_template_gates(pi3p):
+    # the X_i a statement compares, and only those, gate its templates
+    doc = crp2asp(pi3p)
+    _solve_tuple(doc, doc.tuple_space()[0])
+    expected = {("cr-rule", (0,)), ("ordered-option", (1,)), ("preference-applied-conflict", (0, 1))}
+    ungated = ("assumption-choice", "prefer-lift", "preference-closure", "preference-irreflexive", "regular-rule")
+    expected |= {(tag, ()) for tag in ungated}
+    assert {(s.tag, gate) for s, gate, _ in doc.templates["statements"]} == expected
 
 
 def test_assumption_choice_is_ground_once_per_document(pi1):
