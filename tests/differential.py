@@ -3,14 +3,16 @@
 Run from the root of an lpodc checkout:
 
     PYTHONPATH=src python3 tests/differential.py > digests.txt
+    PYTHONPATH=src python3 tests/differential.py --write
 
 Each line is `<document name> <digest>`, the digest being a SHA-256 prefix
 of the document's evaluation: for an LPOD base translation its per-tuple
 projections, `degree` rows and relations, for an LPOD criterion document
 and a CR-Prolog2 translation its projections and global relations. The
 last line counts the engine leaves (`engine.is_stable` calls). Two trees
-evaluate alike on the corpus when their outputs are equal, e.g.
-`diff <(cd old && PYTHONPATH=src python3 tests/differential.py) digests.txt`.
+evaluate alike on the corpus when their outputs are equal. `--write`
+regenerates `tests/differential.txt`, which `tests/test_differential.py`
+compares line by line with a fresh run.
 
 The corpus (more than 2,000 documents) is `programs/*`; the programs of the
 `check-lpod`, `check-crp` and `chain` benchmark workloads for seeds 1-3
@@ -112,7 +114,9 @@ def documents(name: str, program):
         yield "%s:%s" % (name, criterion.value), _digest(_projections(ev), _relations(ev.relations))
 
 
-def main() -> None:
+def digests(root: str) -> list:
+    """The lines of `tests/differential.txt` for the checkout at `root`: one
+    per document, then the leaf count."""
     leaves = 0
     is_stable = engine.is_stable
 
@@ -122,12 +126,20 @@ def main() -> None:
         return is_stable(rows, interp)
 
     engine.is_stable = counted
-    n = 0
-    for name, program in corpus(os.getcwd()):
-        for doc_name, digest in documents(name, program):
-            print(doc_name, digest)
-            n += 1
-    print("documents %d leaves %d" % (n, leaves))
+    try:
+        lines = ["%s %s" % pair for name, program in corpus(root) for pair in documents(name, program)]
+    finally:
+        engine.is_stable = is_stable
+    return lines + ["documents %d leaves %d" % (len(lines), leaves)]
+
+
+def main() -> None:
+    text = "".join(line + "\n" for line in digests(os.getcwd()))
+    if sys.argv[1:] == ["--write"]:
+        with open(os.path.join("tests", "differential.txt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 if __name__ == "__main__":
