@@ -1,5 +1,8 @@
 """Executes translated documents without an external solver.
 
+Every emitted rule is safe, so statements are ground as a standard grounder
+grounds them: each positive literal binds its variables from the possible
+atoms, the heads of the rules ground before it, and nothing else is read.
 The per-tuple statements of a document are solved for one assumption tuple
 at a time (the partial ground programs share no atoms), which keeps the
 search spaces tiny. Those statements take the tuple X1..Xm as extra
@@ -8,34 +11,32 @@ values and differ only where a statement tests an X_i. Each statement is
 rewritten once (`_template`): an X_i that is an atom argument becomes the
 constant "Xi", and the X_i it still uses as variables, those it compares,
 ranges over or computes with, are its gate. The rewritten statement is
-ground once per value of its gate into a template whose atoms name every
-X_i by "Xi", and compiled once into engine rows over atom ids shared by
-the whole document. A tuple's program is its templates' rows, those of each
-gate put together once per value, searched with the id of `ap(X1,...,Xm)`
-seeded true (`_solve_tuple`) and without weak rows: the one weak
-statement costs every model of a tuple the same. The models stay masks
-until one decode per document (`_solve_tuples`) projects them onto σ
-through each id's σ atom, found once, and builds atoms with a tuple's
-values for the `degree` or `isPreferred` rows only. `tuple_ground_program`,
-the statements ground with every X_i fixed, is the reference. The
-cross-tuple layer (preference / dominance / candidate / preferred) is
-evaluated bottom-up in dependency order: each statement runs once after
-every statement that defines a predicate it reads; only a positive cycle
-is iterated to its fixpoint. One body walker
-serves both layers: `_plan` compiles a body once, in its join order, into
-closures over a list of variable slots that ground it (counts over atoms
-become engine aggregates) or evaluate it over the relations (literals look
-rows up through indexes on their bound arguments); each statement's
-grounder is compiled once per document, for every gate value. Every LPOD
-criterion document shares the base translation's tuple layer, solved once
-(`eval_lpod` on the base document) and evaluated under each criterion
-(`with_criterion`). A monolithic grounder serves consistency checks and
-debug dumps.
+ground at every value of its gate into a template whose atoms name every
+X_i by "Xi"; the template atoms are numbered once, in sort order, and each
+template compiled once into engine rows over those ids. A tuple's program
+is its templates' rows, searched with the id of `ap(X1,...,Xm)` seeded true
+(`_solve_tuple`) and without weak rows: the one weak statement costs every
+model of a tuple the same. The models stay masks until one decode per
+document (`_solve_tuples`) projects them onto σ and builds atoms with a
+tuple's values for the `degree` or `isPreferred` rows only.
+`tuple_ground_program`, the statements ground with every X_i fixed, is the
+reference. The cross-tuple layer (preference / dominance / candidate /
+preferred) is evaluated bottom-up in dependency order: each statement runs
+once after every statement that defines a predicate it reads; only a
+positive cycle is iterated to its fixpoint. One body walker serves both
+layers: `_plan` compiles a body once, in its join order, into closures
+over a list of variable slots that ground it or evaluate it over the
+relations, literals binding from rows through indexes on their bound
+arguments. Every LPOD criterion document shares the base translation's
+tuple layer, solved once (`eval_lpod` on the base document) and evaluated
+under each criterion (`with_criterion`). A monolithic grounder serves
+consistency checks and debug dumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Optional
 
@@ -157,10 +158,11 @@ def _test(rest, holds):
 
 
 def _lookup(rest, table, spec, key, same, binds):
-    # the rows of `spec`'s index under `key` whose positions `same` agree
+    # the rows of `spec`'s index under `key` whose positions `same` agree,
+    # in the relations that `table[0]` holds when the step runs
     def step(env):
-        for row in table.index(spec).get(key(env), ()):
-            if all([row[j] == row[k] for j, k in same]):
+        for row in table[0].index(spec).get(key(env), ()):
+            if not same or all([row[j] == row[k] for j, k in same]):
                 for s, j in binds:
                     env[s] = row[j]
                 rest(env)
@@ -168,13 +170,13 @@ def _lookup(rest, table, spec, key, same, binds):
     return step
 
 
-def _inputs(it, relational: bool, outer) -> frozenset:
+def _inputs(it, outer) -> frozenset:
     """Variables that must be bound before a body item can run."""
     vs: set = set()
     if isinstance(it, Lit):
         for a in it.args:
             # a plain variable of a positive literal binds from the rows
-            if not (relational and not it.neg and isinstance(a, Var)):
+            if it.neg or not isinstance(a, Var):
                 _expr_vars(a, vs)
     elif isinstance(it, Cmp):
         _expr_vars(it.rhs, vs)
@@ -198,27 +200,28 @@ def _inputs(it, relational: bool, outer) -> frozenset:
     return frozenset(vs)
 
 
-def _plan(items, bound, outer, domains, consts, table, out, slots):
+def _plan(items, bound, outer, ground, consts, table, out, slots):
     """Compile body items into a function of a slot list holding the
     variables `bound` that runs the step `out(slots, aggs)` returns once per
     way to satisfy them; `aggs` gives the engine aggregates in body order.
 
-    The one body walker: it grounds a body when `table` is None and
-    evaluates it over the relations of `table` otherwise. Items run in join
-    order: the next one is the first whose inputs are bound; when none can
-    run, the first unbound input of the first pending item is enumerated
-    from its declared domain, and after the last item so are the `outer`
-    variables still unbound. The order depends only on the variables bound
-    on entry, so it is fixed here once, and with it the slots (shared with
-    the plans of count elements) that each step reads and binds. `V = e`,
-    `V = lo..hi` and `V = #count{...}` bind an unbound V. Over relations,
-    a positive literal with unbound plain variables binds them from its
-    rows, looked up on its bound positions, and any other literal tests
-    membership. When grounding, a literal is built from the final binding,
-    and a count over non-constant elements becomes an engine aggregate.
+    The one body walker: it grounds a body if `ground` and evaluates it
+    over relations otherwise, reading the rows of the `_Relations` that
+    `table[0]` holds when it runs: the possible atoms or the relations.
+    Items run in join order: the next one is the first whose inputs are
+    bound, comparisons before other items. The order depends only on the
+    variables bound on entry, so it is fixed here once, and with it the
+    slots (shared with the plans of count elements) that each step reads
+    and binds. `V = e`, `V = lo..hi` and `V = #count{...}` bind an unbound
+    V, and a positive literal its unbound plain variables, from its rows
+    looked up on its bound positions (with no `table` it cannot). A variable that no item binds is unsafe
+    (ValueError). Over relations any other literal tests membership; when
+    grounding, it is built from the final binding, and a count over
+    non-constant elements becomes an engine aggregate.
     """
-    inputs = [_inputs(it, table is not None, outer) for it in items]
-    pending, bound, steps, aggs = list(range(len(items))), set(bound), [], []
+    inputs, bound, steps, aggs = [_inputs(it, outer) for it in items], set(bound), [], []
+    # comparisons first: each one tests, or binds a single value
+    pending = sorted(range(len(items)), key=lambda k: not isinstance(items[k], Cmp))
     expr = lambda e: _expr(e, slots, consts)
 
     def slot(name):
@@ -229,17 +232,13 @@ def _plan(items, bound, outer, domains, consts, table, out, slots):
         k = next((k for k in pending if inputs[k] <= bound), None)
         if k is None:
             free = (inputs[pending[0]] if pending else outer) - bound
-            if not free:
-                break
-            name = min(free)
-            if name not in domains:
-                raise KeyError("no domain for variable %s" % name)
-            steps.append((_each, slot(name), lambda env, values=domains[name]: values))
-            continue
+            if free:
+                raise ValueError("unsafe variable %s" % min(free))
+            break
         pending.remove(k)
         it = items[k]
         if isinstance(it, CountExpr) and it.bind is None:
-            count, atoms = _count(it.elements, bound, domains, consts, table, slots)
+            count, atoms = _count(it.elements, bound, ground, consts, table, slots)
             slots[object()] = a = len(slots)
             aggs.append((k, a))
 
@@ -252,29 +251,30 @@ def _plan(items, bound, outer, domains, consts, table, out, slots):
 
             steps.append((_each, a, values))
         elif isinstance(it, CountExpr):
-            count, atoms = _count(it.elements, bound, domains, consts, table, slots)
+            count, atoms = _count(it.elements, bound, ground, consts, table, slots)
             if atoms is not None:
                 raise ValueError("count assignment over non-constant elements")
             if it.bind.name in bound:
                 steps.append((_test, lambda env, n=count, v=expr(it.bind): n(env) == v(env)))
             else:
                 steps.append((_each, slot(it.bind.name), lambda env, n=count: (n(env),)))
-        elif isinstance(it, Lit) and table is None:
-            continue
-        elif isinstance(it, Lit) and not it.neg and not _item_vars(it, set()) <= bound:
-            unbound, same = {}, []
+        elif isinstance(it, Lit):
+            unbound, same = {}, []  # plain variables; a negative literal runs bound
             for i, a in enumerate(it.args):
                 if isinstance(a, Var) and a.name not in bound:
                     if a.name in unbound:
                         same.append((i, unbound[a.name]))
                     unbound.setdefault(a.name, i)
-            keyed = tuple(i for i, a in enumerate(it.args) if not (isinstance(a, Var) and a.name in unbound))
-            key = _exprs([it.args[i] for i in keyed], slots, consts)
-            binds = [(slot(name), i) for name, i in unbound.items()]
-            steps.append((_lookup, table, (it.pred, len(it.args), keyed), key, same, binds))
-        elif isinstance(it, Lit):
-            args, rows = _exprs(it.args, slots, consts), table.rows
-            steps.append((_test, lambda env, p=it.pred, a=args, neg=it.neg: (a(env) in rows.get(p, ())) != neg))
+            if unbound and table is None:
+                raise ValueError("unsafe variable %s" % min(unbound))
+            if unbound:
+                keyed = tuple(i for i, a in enumerate(it.args) if not (isinstance(a, Var) and a.name in unbound))
+                key = _exprs([it.args[i] for i in keyed], slots, consts)
+                binds = [(slot(name), i) for name, i in unbound.items()]
+                steps.append((_lookup, table, (it.pred, len(it.args), keyed), key, same, binds))
+            elif not ground:
+                args, rows = _exprs(it.args, slots, consts), table[0].rows
+                steps.append((_test, lambda env, p=it.pred, a=args, neg=it.neg: (a(env) in rows.get(p, ())) != neg))
         elif isinstance(it, Cmp) and it.op == "=" and isinstance(it.lhs, Var) and it.lhs.name not in bound:
             steps.append((_each, slot(it.lhs.name), lambda env, rhs=expr(it.rhs): (rhs(env),)))
         elif isinstance(it, Cmp):
@@ -291,7 +291,7 @@ def _plan(items, bound, outer, domains, consts, table, out, slots):
     return run
 
 
-def _count(elements, bound, domains, consts, table, slots) -> tuple:
+def _count(elements, bound, ground, consts, table, slots) -> tuple:
     """Count elements: (count, atoms). `count` maps the slot list to n, one
     per satisfying binding of a comparison and, over relations, one per
     distinct matching row of a literal; when grounding, the set `atoms`
@@ -303,17 +303,17 @@ def _count(elements, bound, domains, consts, table, slots) -> tuple:
         return (lambda env: sum([op(lhs(env), rhs(env)) for op, lhs, rhs in tests])), None
     atoms, parts = set(), []
     for el in elements:
-        hits = atoms if table is None and isinstance(el.item, Lit) else [] if isinstance(el.item, Cmp) else set()
+        hits = atoms if ground and isinstance(el.item, Lit) else [] if isinstance(el.item, Cmp) else set()
 
         def out(slots, aggs, hits=hits, item=el.item):
             if isinstance(item, Cmp):
                 return lambda env: hits.append(None)
             args, pred = _exprs(item.args, slots, consts), item.pred
-            if table is None:
+            if ground:
                 return lambda env: hits.add(Atom(pred, args(env)))
             return lambda env: hits.add(args(env))
 
-        parts.append((hits, _plan(el.conds + (el.item,), bound, frozenset(), domains, consts, table, out, slots)))
+        parts.append((hits, _plan(el.conds + (el.item,), bound, frozenset(), ground, consts, table, out, slots)))
     counted = [hits for hits, _ in parts if hits is not atoms]
 
     def count(env):
@@ -324,18 +324,30 @@ def _count(elements, bound, domains, consts, table, slots) -> tuple:
             run(env)
         return sum([len(hits) for hits in counted])
 
-    return count, atoms if table is None and len(counted) < len(parts) else None
+    return count, atoms if ground and len(counted) < len(parts) else None
+
+
+def _lits(it) -> list:
+    """The literals of a head or body item, those of its elements included."""
+    if isinstance(it, (CountExpr, ChoiceExpr)):
+        return [x for el in it.elements for x in (el.item,) + el.conds if isinstance(x, Lit)]
+    return [it] if isinstance(it, Lit) else []
 
 
 def _grounder(stmt, doc: AspDocument, names: tuple):
     """The plan that grounds one statement into the list in slot 0, with the
-    variables `names` in the next slots, and the padding of its slot list:
-    one plan for the body, and one count for the elements of a choice head."""
-    consts, domains, outer = dict(doc.constants), dict(stmt.var_domains), _outer_vars(stmt)
+    variables `names` in the next slots, binding from the possible atoms in
+    the one-element holder `possible`; then the holder, the padding of the
+    slot list, the head predicates and whether the body reads one. A choice
+    head's atoms are defined, not read: only their conditions bind them."""
+    consts, outer, possible = dict(doc.constants), _outer_vars(stmt), [None]
     head, slots = getattr(stmt, "head", None), {name: i for i, name in enumerate((None,) + names)}
 
     def out(slots, aggs):
         def atoms(lits):
+            if all(type(a) in (int, str) for l in lits for a in l.args):  # ground: built once
+                ground = frozenset([Atom(l.pred, l.args) for l in lits])
+                return lambda env: ground
             parts = [(l.pred, _exprs(l.args, slots, consts)) for l in lits]
             return lambda env: frozenset([Atom(pred, args(env)) for pred, args in parts])
 
@@ -344,7 +356,7 @@ def _grounder(stmt, doc: AspDocument, names: tuple):
             terms, weight = _exprs(stmt.terms, slots, consts), stmt.weight
             return lambda env: env[0].append(WeakConstraint(pos(env), neg(env), aggs(env), weight, terms(env)))
         if isinstance(head, ChoiceExpr):
-            count, chosen = _count(head.elements, set(names) | outer, domains, consts, None, slots)
+            count, chosen = _count(head.elements, set(names) | outer, True, consts, None, slots)
             lower, upper = _expr(head.lower, slots, consts), _expr(head.upper, slots, consts)
 
             def h(env):
@@ -354,52 +366,79 @@ def _grounder(stmt, doc: AspDocument, names: tuple):
 
         elif head is None:
             h = lambda env: None
+        elif all(type(a) in (int, str) for a in head.args):  # ground: built once
+            h = lambda env, atom=Atom(head.pred, head.args): atom
         else:
             h = lambda env, pred=head.pred, args=_exprs(head.args, slots, consts): Atom(pred, args(env))
         return lambda env: env[0].append(GroundRule(h(env), pos(env), neg(env), aggs(env)))
 
-    run = _plan(stmt.body, names, outer, domains, consts, None, out, slots)
-    return run, [None] * (len(slots) - len(names) - 1)
+    run = _plan(stmt.body, names, outer, True, consts, possible, out, slots)
+    heads = {x.pred for x in _lits(head)}
+    recursive = bool(heads) and any(isinstance(it, Lit) and it.pred in heads and not it.neg for it in stmt.body)
+    return run, [None] * (len(slots) - len(names) - 1), possible, heads, recursive
 
 
-def _ground_statement(stmt, doc: AspDocument, fixed: dict) -> list:
+def _ground_statement(stmt, doc: AspDocument, fixed: dict, table) -> list:
     """The engine rules / weak constraints of one statement with the
-    variables of `fixed` set, by its grounder, compiled once per document."""
+    variables of `fixed` set, by its grounder, compiled once per document,
+    binding from the possible atoms `table` and adding its heads to them; a
+    statement whose body reads its head predicate repeats until it grounds
+    no more rules."""
     if isinstance(stmt, FactPoolStmt):
-        return [GroundRule(head=Atom(stmt.pred, (v,))) for v in stmt.values]
-    grounders, key, objs = doc.templates.setdefault("grounders", {}), (id(stmt), tuple(fixed)), []
+        objs = [GroundRule(head=Atom(stmt.pred, (v,))) for v in stmt.values]
+        table.add((stmt.pred,), objs)
+        return objs
+    grounders, key = doc.templates.setdefault("grounders", {}), (id(stmt), tuple(fixed))
     if key not in grounders:  # kept with its grounder, the statement keeps its id
         grounders[key] = (stmt,) + _grounder(stmt, doc, tuple(fixed))
-    _, run, padding = grounders[key]
+    _, run, padding, possible, heads, recursive = grounders[key]
+    possible[0], objs, size = table, [], -1
     run([objs, *fixed.values(), *padding])
+    if heads:
+        table.add(heads, objs)
+    while recursive and len(objs) > size:
+        size, objs = len(objs), []
+        run([objs, *fixed.values(), *padding])
+        table.add(heads, objs)
+    possible[0] = None  # the grounder outlives the table
     return objs
 
 
-def _ground(doc: AspDocument, statements, fixed: dict) -> GroundProgram:
-    rules, weak = [], []
-    for stmt in statements:
-        for obj in _ground_statement(stmt, doc, fixed):
-            (weak if isinstance(obj, WeakConstraint) else rules).append(obj)
-    return GroundProgram(rules=tuple(rules), weak=tuple(weak))
+def _ground(doc: AspDocument, groups) -> GroundProgram:
+    """The statements of `groups`, each (statements, cyclic, fixings), ground
+    in order, each once per `fixed` of its fixings, from the possible atoms
+    of those before it; a cyclic group repeats until all are possible."""
+    table, objs = _Relations({}), []
+    for stmts, cyclic, fixings in groups:
+        size = -1
+        while True:
+            ground = [o for s in stmts for fixed in fixings for o in _ground_statement(s, doc, fixed, table)]
+            if not cyclic or len(ground) == size:
+                break
+            size = len(ground)
+        objs += ground
+    weak = [o for o in objs if isinstance(o, WeakConstraint)]
+    return GroundProgram(tuple([o for o in objs if not isinstance(o, WeakConstraint)]), tuple(weak))
 
 
-def _template(stmt, xnames: list, domains: tuple) -> tuple:
+def _template(stmt, xnames: list, domains: tuple, lits: dict) -> tuple:
     """`stmt` rewritten for the tuple layer, and its gate. Each X_i that is
     an atom argument, plain or nested in a term, becomes the constant "Xi"
     (no input constant starts upper-case), and element conditions
     `X_i = lo..hi` whose range covers X_i's domain are dropped: every tuple
     meets them. The gate is the indices of the X_i still used as variables,
-    those compared, ranged over or computed with."""
+    those compared, ranged over or computed with. A literal is rewritten
+    once, into `lits` by its id, however many statements share it."""
     if isinstance(stmt, FactPoolStmt):
         return stmt, ()
     dom, used = dict(zip(xnames, domains)), set()
 
-    def arg(e):
+    def arg(e, xs):
         if isinstance(e, Var):
             return e.name if e.name in dom else e
         if isinstance(e, Fn):
-            return Fn(e.name, tuple([arg(a) for a in e.args]))
-        _expr_vars(e, used)  # arithmetic
+            return Fn(e.name, tuple([arg(a, xs) for a in e.args]))
+        _expr_vars(e, xs)  # arithmetic
         return e
 
     def covers(c):
@@ -407,7 +446,12 @@ def _template(stmt, xnames: list, domains: tuple) -> tuple:
 
     def item(it):
         if isinstance(it, Lit):
-            return Lit(it.pred, tuple([arg(a) for a in it.args]), it.neg)
+            hit = lits.get(id(it))
+            if hit is None:  # the rewrite, and the variables it computes with
+                xs = set()
+                hit = lits[id(it)] = Lit(it.pred, tuple([arg(a, xs) for a in it.args]), it.neg), xs
+            used.update(hit[1])
+            return hit[0]
         if isinstance(it, (CountExpr, ChoiceExpr)):
             conds = lambda el: tuple([item(c) for c in el.conds if not covers(c)])
             it = replace(it, elements=tuple([AggElem(item(el.item), conds(el)) for el in it.elements]))
@@ -415,7 +459,7 @@ def _template(stmt, xnames: list, domains: tuple) -> tuple:
         return it
 
     head = stmt.head if stmt.head is None else item(stmt.head)
-    stmt = RuleStmt(head, tuple([item(it) for it in stmt.body]), stmt.tag, stmt.phase, stmt.var_domains)
+    stmt = RuleStmt(head, tuple([item(it) for it in stmt.body]), stmt.tag, stmt.phase)
     return stmt, tuple(i for i, x in enumerate(xnames) if x in used)
 
 
@@ -435,33 +479,39 @@ def _subst(v, values: dict):
 def _tuple_rows(doc: AspDocument, xs: tuple) -> list:
     """The rows of tuple `xs`'s program: the rows of each tuple-phase
     statement's template (see `_template`) ground with the tuple's value of
-    its gate, compiled on first use. `doc.templates` keeps the rewritten
-    statements with their templates by gate value, the id table, which maps
-    each template atom to its bit position in every tuple, and per gate the
-    rows of its statements, put together once per value."""
+    its gate. On first use every template is ground at every value of its
+    gate, in statement order, binding from the template atoms of those
+    before it (a template atom is the same for every value); the template
+    atoms are numbered in `Atom.sort_key` order and the templates compiled.
+    `doc.templates` keeps the rewritten statements with their templates'
+    rows by gate value, the id table, which maps each template atom to its
+    bit position in every tuple, and per gate the rows of its statements,
+    put together once per value."""
     templates, names = doc.templates, _names("X", doc.m)
-
-    def template(stmt, gate, by_value):
-        value = tuple([xs[g] for g in gate])
-        if value not in by_value:
-            objs, ids = _ground_statement(stmt, doc, {names[g]: xs[g] for g in gate}), templates["ids"]
-            by_value[value] = rows_of(objs, lambda a: 1 << ids.setdefault(a, len(ids)))
-        return by_value[value]
-
     if "statements" not in templates:
-        templates["ids"], templates["groups"] = {}, {}
         # the one weak statement, :~ ap(X1,...,Xm). [-1, X1,...,Xm], is left
         # out: `_solve_tuple` seeds ap(xs) true, so every model pays the same
         tuple_phase = [s for s in doc.statements if s.phase == "tuple" and not isinstance(s, WeakStmt)]
-        templates["statements"] = [_template(s, names, doc.domains) + ({},) for s in tuple_phase]
-        for t in templates["statements"]:
-            template(*t)  # the first tuple numbers the atoms in statement order
-            templates["groups"].setdefault(t[1], ([], {}))[0].append(t)
+        lits = {}  # keyed by identity: the document holds every literal meanwhile
+        statements = templates["statements"] = [_template(s, names, doc.domains, lits) + ({},) for s in tuple_phase]
+        table = _Relations({})
+        for stmt, gate, by_value in statements:
+            for value in product(*[doc.domains[g] for g in gate]):
+                by_value[value] = _ground_statement(stmt, doc, {names[g]: v for g, v in zip(gate, value)}, table)
+        ground = [r for _, _, by_value in statements for objs in by_value.values() for r in objs]
+        atoms = set().union(*[r.pos | r.neg for r in ground], *[g.atoms for r in ground for g in r.aggregates])
+        atoms.update(*[r.head.atoms if isinstance(r.head, ChoiceHead) else (r.head,) for r in ground if r.head is not None])
+        ids = templates["ids"] = {a: i for i, a in enumerate(sorted(atoms, key=Atom.sort_key))}
+        bit, templates["groups"] = {a: 1 << i for a, i in ids.items()}.__getitem__, {}
+        for _, gate, by_value in statements:
+            for value, objs in by_value.items():
+                by_value[value] = rows_of(objs, bit)
+            templates["groups"].setdefault(gate, ([], {}))[0].append(by_value)
     rows = []
     for gate, (members, combined) in templates["groups"].items():
         value = tuple([xs[g] for g in gate])
         if value not in combined:
-            combined[value] = [r for t in members for r in template(*t)]
+            combined[value] = [r for by_value in members for r in by_value[value]]
         rows += combined[value]
     return rows
 
@@ -470,13 +520,18 @@ def tuple_ground_program(doc: AspDocument, xs: tuple) -> GroundProgram:
     """Partial ground program for one assumption tuple: the tuple-phase
     statements ground with every X_i fixed to the tuple's value. The
     reference for `_solve_tuple`, which solves the compiled rows."""
-    fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
-    return _ground(doc, [s for s in doc.statements if s.phase == "tuple"], fixed)
+    fixed = dict(zip(_names("X", doc.m), xs))
+    return _ground(doc, [([s], False, [fixed]) for s in doc.statements if s.phase == "tuple"])
 
 
 def ground_document(doc: AspDocument) -> GroundProgram:
-    """Monolithic grounding of every statement over the full tuple space."""
-    return _ground(doc, doc.statements, {})
+    """Monolithic grounding of every statement over the full tuple space:
+    each tuple-phase statement with the X_i fixed to each tuple in turn,
+    then the cross-tuple statements by the components of `_components`."""
+    fixings = [dict(zip(_names("X", doc.m), xs)) for xs in doc.tuple_space()]
+    groups = [([s], False, fixings) for s in doc.statements if s.phase == "tuple"]
+    components = _components([s for s in doc.statements if s.phase == "global"])
+    return _ground(doc, groups + [(stmts, cyclic, [{}]) for stmts, cyclic in components])
 
 
 def shrink(atoms: frozenset, xs: tuple, sigma: frozenset) -> AnswerSet:
@@ -498,16 +553,28 @@ def shrink(atoms: frozenset, xs: tuple, sigma: frozenset) -> AnswerSet:
 
 class _Relations:
     """The rows of each predicate, with indexes built on first use: per
-    (predicate, arity, bound positions), the rows by their values there."""
+    (predicate, arity, bound positions), the rows by their values there.
+    When grounding, a predicate's rows are its possible atoms, the heads of
+    the ground rules given to `add`, taken when a lookup first reads them,
+    in the order found, so that a grounding's order is fixed."""
 
     def __init__(self, seeds: dict):
         self.rows = {pred: set(rows) for pred, rows in seeds.items()}
-        self.indexes = {}
+        self.indexes, self.defined = {}, {}
+
+    def add(self, preds, rules) -> None:
+        """The ground `rules`, whose head atoms have the predicates `preds`."""
+        for pred in preds:
+            self.defined.setdefault(pred, []).append(rules)
+        self.indexes.clear()
 
     def index(self, spec) -> dict:
         index = self.indexes.get(spec)
         if index is None:
             pred, arity, positions = spec
+            if pred in self.defined:
+                heads = [r.head.atoms if isinstance(r.head, ChoiceHead) else (r.head,) for rules in self.defined.pop(pred) for r in rules]
+                self.rows.setdefault(pred, {}).update((a.args, None) for atoms in heads for a in atoms if a.predicate == pred)
             index = self.indexes[spec] = {}
             for row in self.rows.get(pred, ()):
                 if len(row) == arity:
@@ -530,10 +597,7 @@ def _components(statements) -> list:
             raise ValueError("cross-tuple statements must define a predicate")
         e = edges.setdefault(head(s), set())
         for it in getattr(s, "body", ()):
-            if isinstance(it, Lit):
-                e.add((it.pred, not it.neg))
-            elif isinstance(it, CountExpr):
-                e.update((x.pred, False) for el in it.elements for x in (el.item,) + el.conds if isinstance(x, Lit))
+            e.update((x.pred, x is it and not x.neg) for x in _lits(it))
     reach = {p: {q for q, _ in e if q in edges} for p, e in edges.items()}
     for k in reach:
         for p in reach:
@@ -569,7 +633,7 @@ def evaluate_global_layer(doc: AspDocument, seed_relations: dict) -> dict:
                 args = _exprs(head.args, slots, consts)
                 return lambda env: rows.add(args(env))
 
-            plans.append((_plan(s.body, (), _outer_vars(s), dict(s.var_domains), consts, table, out, slots), slots))
+            plans.append((_plan(s.body, (), _outer_vars(s), False, consts, (table,), out, slots), slots))
         while True:
             size = sum(map(len, table.rows.values()))
             for run, slots in plans:

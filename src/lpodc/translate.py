@@ -7,13 +7,14 @@ crp2asp does the analogous construction with per-kind degree domains plus
 dominance, candidate and fewer-applied layers.
 
 Documents are structured: each statement is a small AST over schematic
-variables with finite declared domains, so the same object can be emitted
-as solver-input text, grounded per assumption tuple, or evaluated as a
-stratified layer over collected facts. The fixed-shape rules are written as
-the text the emitter prints, one line of ASP each as in the paper, with the
-m-ary lists (X1,...,Xm, D1,...,Dm, ...) formatted in; `parse_emitted`'s
-reader turns each distinct text into its AST once, and the tag, phase and
-variable domains are attached beside it. Statements that carry input atoms
+variables, and it carries nothing that the emitted text does not. Every
+rule is safe, so the same object can be emitted as solver-input text,
+grounded per assumption tuple from the atoms the text can derive, or
+evaluated as a stratified layer over collected facts. The fixed-shape rules
+are written as the text the emitter prints, one line of ASP each as in the
+paper, with the m-ary lists (X1,...,Xm, D1,...,Dm, ...) formatted in;
+`parse_emitted`'s reader turns each distinct text into its AST once, and
+the tag and phase are attached beside it. Statements that carry input atoms
 are built structurally, so an input constant never passes through text.
 """
 
@@ -25,7 +26,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
-from .model import Atom, Dialect, Program, RuleKind, Term
+from .model import Atom, Dialect, Program, RuleKind
 
 
 class DegenerateProgram(Exception):
@@ -109,7 +110,6 @@ class RuleStmt:
     body: tuple = ()
     tag: str = ""
     phase: str = "tuple"  # "tuple" | "global"
-    var_domains: tuple = ()  # ((name, values), ...), values any re-iterable
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,6 @@ class WeakStmt:
     terms: tuple
     tag: str = ""
     phase: str = "tuple"
-    var_domains: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,6 @@ class FactPoolStmt:
     values: tuple
     tag: str = ""
     phase: str = "global"
-    var_domains: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -229,18 +227,19 @@ def emit(d: AspDocument) -> str:
 @lru_cache(maxsize=1024)
 def _read(text: str) -> tuple:
     """The one statement written as `text`, read once per distinct text, as
-    its class and the fields before tag, phase and var_domains (the last
-    three fields of every statement class); `maxdegree` reads as the
-    constant the criterion layers declare."""
+    its class and the fields before tag and phase (the last two fields of
+    every statement class); `maxdegree` reads as the constant the criterion
+    layers declare."""
     reader = _DocReader(text)
     reader.consts.add("maxdegree")
     (stmt,) = reader.parse()[1]
-    return type(stmt), tuple(getattr(stmt, f.name) for f in fields(stmt)[:-3])
+    return type(stmt), tuple(getattr(stmt, f.name) for f in fields(stmt)[:-2])
 
 
-def _rule(text: str, tag: str, var_domains: tuple, phase: str = "tuple"):
+def _rule(text: str, tag: str, phase: str = "tuple"):
+    """The statement written as `text`, with its tag and phase."""
     cls, args = _read(text)
-    return cls(*args, tag, phase, var_domains)
+    return cls(*args, tag, phase)
 
 
 def _names(prefix: str, m: int) -> list:
@@ -253,28 +252,13 @@ def _call(name: str, args) -> str:
     return "%s(%s)" % (name, ",".join(args)) if args else name
 
 
-def _domains(names, values) -> tuple:
-    return tuple((n, tuple(v)) for n, v in zip(names, values))
-
-
-@dataclass(frozen=True)
-class _ApTerms:
-    """The ap(x1,...,xm) terms of a tuple space, in the form `_call` writes:
-    the domain of P, P1 and P2, made only when a grounder enumerates it."""
-
-    domains: tuple
-
-    def __iter__(self):
-        return (Term("ap", t) if t else "ap" for t in product(*self.domains))
-
-
 def _assumption_statements(xs: list, domains) -> list:
     """{ap(X1,...,Xm): X1=lo..hi, ...}. and :~ ap(X1,...,Xm). [-1, X1,...,Xm]"""
-    ap, xdom = _call("ap", xs), _domains(xs, domains)
+    ap = _call("ap", xs)
     ranges = ", ".join("%s=%d..%d" % (x, d[0], d[-1]) for x, d in zip(xs, domains))
     return [
-        _rule("{%s%s}." % (ap, ranges and ": " + ranges), "assumption-choice", xdom),
-        _rule(":~ %s. [-1%s]" % (ap, "".join(", " + x for x in xs)), "assumption-weight", xdom),
+        _rule("{%s%s}." % (ap, ranges and ": " + ranges), "assumption-choice"),
+        _rule(":~ %s. [-1%s]" % (ap, "".join(", " + x for x in xs)), "assumption-weight"),
     ]
 
 
@@ -325,7 +309,7 @@ def _compress_choice_elements(atoms, xvars: tuple, extend) -> tuple:
     return tuple(AggElem(extend(a)) for a in atoms)
 
 
-def _regular_statements(p: Program, xvars: tuple, extend, domains) -> list:
+def _regular_statements(p: Program, xvars: tuple, extend) -> list:
     ap = Lit("ap", xvars)
     out = []
     for r in p.regular_rules:
@@ -337,7 +321,7 @@ def _regular_statements(p: Program, xvars: tuple, extend, domains) -> list:
             head = extend(r.head_atoms[0])
         else:
             head = None
-        out.append(RuleStmt(head=head, body=body, tag="regular-rule", var_domains=domains))
+        out.append(RuleStmt(head=head, body=body, tag="regular-rule"))
     return out
 
 
@@ -358,33 +342,31 @@ def lpod2asp_base(p: Program) -> AspDocument:
     xs, ds = _names("X", m), _names("D", m)
     X, ap = ",".join(xs), _call("ap", xs)
     xvars = tuple(Var(x) for x in xs)
-    xdom = _domains(xs, domains)
     extend = _extender(xvars)
 
-    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, extend, xdom)
+    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, extend)
     for r in ordered:
         i = r.index
         xi = xvars[i - 1]
         aux = Lit("body_%d" % i, xvars)
         body = (Lit("ap", xvars),) + tuple(map(extend, r.body))
-        stmts.append(RuleStmt(head=aux, body=body, tag="body-definition", var_domains=xdom))
-        stmts.append(_rule(":- %s, X%d=0, body_%d(%s)." % (ap, i, i, X), "body-off-constraint", xdom))
-        stmts.append(_rule(":- %s, X%d>0, not body_%d(%s)." % (ap, i, i, X), "body-on-constraint", xdom))
+        stmts.append(RuleStmt(head=aux, body=body, tag="body-definition"))
+        stmts.append(_rule(":- %s, X%d=0, body_%d(%s)." % (ap, i, i, X), "body-off-constraint"))
+        stmts.append(_rule(":- %s, X%d>0, not body_%d(%s)." % (ap, i, i, X), "body-on-constraint"))
         for j, cj in enumerate(r.head_atoms, start=1):
             head, body = extend(cj), (aux, Cmp("=", xi, j))
-            stmts.append(RuleStmt(head=head, body=body, tag="head-option", var_domains=xdom))
+            stmts.append(RuleStmt(head=head, body=body, tag="head-option"))
         for j, cj in enumerate(r.head_atoms, start=1):
             earlier = tuple(replace(extend(c), neg=True) for c in r.head_atoms[: j - 1])
             body = (aux, Cmp("!=", xi, j)) + earlier + (extend(cj),)
-            stmts.append(RuleStmt(head=None, body=body, tag="first-true-guard", var_domains=xdom))
+            stmts.append(RuleStmt(head=None, body=body, tag="first-true-guard"))
 
     degree = "degree(%s,%s)" % (ap, ",".join(ds))
     ranges = ", ".join("%s=1..%d" % (d, n) for d, n in zip(ds, heads))
-    stmts.append(_rule("1{%s: %s}1 :- %s." % (degree, ranges, ap), "degree-choice", xdom))
-    ddom = xdom + _domains(ds, (range(1, n + 1) for n in heads))
+    stmts.append(_rule("1{%s: %s}1 :- %s." % (degree, ranges, ap), "degree-choice"))
     for x, d in zip(xs, ds):
-        stmts.append(_rule(":- %s, %s=0, %s!=1." % (degree, x, d), "degree-from-zero", ddom))
-        stmts.append(_rule(":- %s, %s>0, %s!=%s." % (degree, x, d, x), "degree-from-positive", ddom))
+        stmts.append(_rule(":- %s, %s=0, %s!=1." % (degree, x, d), "degree-from-zero"))
+        stmts.append(_rule(":- %s, %s>0, %s!=%s." % (degree, x, d, x), "degree-from-positive"))
 
     return AspDocument(
         dialect=Dialect.LPOD,
@@ -412,78 +394,67 @@ def lpod2asp_criterion(base: AspDocument, criterion) -> AspDocument:
     xs, ds, d1s, d2s = _names("X", m), _names("D", m), _names("D1", m), _names("D2", m)
     X, D, ap = ",".join(xs), ",".join(ds), _call("ap", xs)
     degree_pair = "degree(P1,%s), degree(P2,%s)" % (",".join(d1s), ",".join(d2s))
-    ap_domain = _ApTerms(base.domains)
-    pdom = tuple((v, ap_domain) for v in ("P", "P1", "P2"))
-    degree_values = [range(1, n + 1) for n in heads]
-    ddom = pdom + _domains(ds, degree_values)
-    d12dom = pdom + _domains(d1s, degree_values) + _domains(d2s, degree_values)
-    at_x = (("X", tuple(range(1, maxdegree + 1))),)
-    counts = tuple(range(0, m + 1))
     prf_by_degree = _rule(
         "prf(P1,P2) :- X=0..maxdegree-1, prf2degree(P1,P2,X+1), X{equ2degree(P1,P2,Y): Y=1..X}.",
-        "preference", pdom[1:], "global",
+        "preference", "global",
     )
 
     if criterion is Criterion.CARDINALITY:
         stmts = [
             _rule(
                 "card(P,X,N) :- degree(P,%s), X=1..maxdegree, N={%s}." % (D, "; ".join(d + "=X" for d in ds)),
-                "cardinality-count", ddom, "global",
+                "cardinality-count", "global",
             ),
             _rule(
                 "equ2degree(P1,P2,X) :- card(P1,X,N), card(P2,X,N), P1!=P2.",
-                "equal-at-degree", pdom + at_x + (("N", counts),), "global",
+                "equal-at-degree", "global",
             ),
             _rule(
                 "prf2degree(P1,P2,X) :- card(P1,X,N1), card(P2,X,N2), N1>N2.",
-                "better-at-degree", pdom + at_x + (("N1", counts), ("N2", counts)), "global",
+                "better-at-degree", "global",
             ),
             prf_by_degree,
         ]
     elif criterion is Criterion.INCLUSION:
         pairs = list(zip(range(1, m + 1), d1s, d2s))
         stmts = [
-            _rule("even(0; 2).", "even-parity-facts", (), "global"),
+            _rule("even(0; 2).", "even-parity-facts", "global"),
             _rule(
                 "equ2degree(P1,P2,X) :- P1!=P2, X=1..maxdegree, %s, %s, %s." % (
                     degree_pair,
                     ", ".join("C%d={%s=X; %s=X}" % pair for pair in pairs),
                     ", ".join("even(C%d)" % i for i in range(1, m + 1)),
                 ),
-                "equal-at-degree", d12dom, "global",
+                "equal-at-degree", "global",
             ),
             _rule(
                 "prf2degree(P1,P2,X) :- P1!=P2, X=1..maxdegree, not equ2degree(P1,P2,X), %s, %s."
                 % (degree_pair, ", ".join("{%s!=X; %s=X}1" % pair[1:] for pair in pairs)),
-                "better-at-degree", d12dom, "global",
+                "better-at-degree", "global",
             ),
             prf_by_degree,
         ]
     elif criterion is Criterion.PARETO:
         stmts = [
-            _rule("equ(P1,P2) :- degree(P1,%s), degree(P2,%s)." % (D, D), "degree-equality", ddom, "global"),
+            _rule("equ(P1,P2) :- degree(P1,%s), degree(P2,%s)." % (D, D), "degree-equality", "global"),
             _rule(
                 "prf(P1,P2) :- %s, not equ(P1,P2), %s."
                 % (degree_pair, ", ".join("%s<=%s" % pair for pair in zip(d1s, d2s))),
-                "preference", d12dom, "global",
+                "preference", "global",
             ),
         ]
     elif criterion is Criterion.PENALTY_SUM:
-        sums = tuple(range(m, sum(heads) + 1))
         stmts = [
-            _rule("sum(P,N) :- degree(P,%s), N=%s." % (D, "+".join(ds)), "degree-sum", ddom, "global"),
+            _rule("sum(P,N) :- degree(P,%s), N=%s." % (D, "+".join(ds)), "degree-sum", "global"),
             _rule(
                 "prf(P1,P2) :- sum(P1,N1), sum(P2,N2), N1<N2.",
-                "preference", pdom + (("N1", sums), ("N2", sums)), "global",
+                "preference", "global",
             ),
         ]
     else:
         raise ValueError("unknown criterion %r" % (criterion,))
     stmts.append(
-        _rule(
-            "pAS(%s) :- %s, {prf(P,%s)}0." % (X, ap, ap),
-            "preferred-answer-set", _domains(xs, base.domains) + (("P", ap_domain),), "global",
-        )
+        _rule("pAS(%s) :- %s, {prf(P,%s)}0." % (X, ap, ap), "preferred-answer-set", "global")
     )
 
     return AspDocument(
@@ -515,31 +486,28 @@ def crp2asp(p: Program) -> AspDocument:
     X, Y = ",".join(xs), ",".join(ys)
     ap, ap_y, candidate = _call("ap", xs), _call("ap", ys), _call("candidate", xs)
     xvars = tuple(Var(x) for x in xs)
-    xdom = _domains(xs, domains)
-    xydom = xdom + _domains(ys, domains)
-    pdom = xdom + (("P", _ApTerms(domains)),)
     extend = _extender(xvars)
 
-    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, extend, xdom)
+    stmts = _assumption_statements(xs, domains) + _regular_statements(p, xvars, extend)
     for r in rules:
         body = (Lit("ap", xvars),) + tuple(map(extend, r.body))
         xi = xvars[r.index - 1]
         if r.kind is RuleKind.CR:
             head, extra = extend(r.head_atoms[0]), Cmp("=", xi, 1)
-            stmts.append(RuleStmt(head=head, body=body + (extra,), tag="cr-rule", var_domains=xdom))
+            stmts.append(RuleStmt(head=head, body=body + (extra,), tag="cr-rule"))
             continue
         for j, cj in enumerate(r.head_atoms, start=1):
             head, extra = extend(cj), Cmp("=", xi, j)
-            stmts.append(RuleStmt(head=head, body=body + (extra,), tag="ordered-option", var_domains=xdom))
+            stmts.append(RuleStmt(head=head, body=body + (extra,), tag="ordered-option"))
     dominate = "dominate(%s,%s) :- %s, %s, " % (ap, ap_y, ap, ap_y)
     # present only when some rule carries an ordered head; then one rule per
     # index (vacuous for cr-rule domains {0,1}, but that is the emitted form)
     if any(r.kind is not RuleKind.CR for r in rules):
         for x, y in zip(xs, ys):
             text = dominate + "0<%s, %s<%s." % (x, x, y)
-            stmts.append(_rule(text, "atomwise-dominance", xydom, "global"))
+            stmts.append(_rule(text, "atomwise-dominance", "global"))
     text = "%s :- %s, {dominate(P,%s)}0." % (candidate, ap, ap)
-    stmts.append(_rule(text, "candidate-rule", pdom, "global"))
+    stmts.append(_rule(text, "candidate-rule", "global"))
     stmts.append(
         _rule(
             "lessCrRulesApplied(%s,%s) :- %s, %s, 1{%s}%s." % (
@@ -547,13 +515,13 @@ def crp2asp(p: Program) -> AspDocument:
                 "; ".join("%s!=%s" % pair for pair in zip(xs, ys)),
                 "".join(", %s<=%s" % pair for pair in zip(xs, ys)),
             ),
-            "fewer-applied", xydom, "global",
+            "fewer-applied", "global",
         )
     )
     stmts.append(
         _rule(
             "%s :- %s, {lessCrRulesApplied(P,%s)}0." % (_call("pAS", xs), candidate, ap),
-            "preferred-rule", pdom, "global",
+            "preferred-rule", "global",
         )
     )
 
@@ -566,23 +534,21 @@ def crp2asp(p: Program) -> AspDocument:
             if not new:
                 break
             closure |= new
-        cr_like = tuple(r.index for r in rules if r.kind in (RuleKind.CR, RuleKind.ORDERED_CR))
-        rdom = xdom + (("R1", cr_like), ("R2", cr_like), ("R3", cr_like))
         for a, b in pairs:
-            stmts.append(_rule("prefer(%d,%d,%s) :- %s." % (a, b, X, ap), "prefer-lift", xdom))
-        stmts.append(_rule("isPreferred(R1,R2,%s) :- prefer(R1,R2,%s)." % (X, X), "preference-closure", rdom))
+            stmts.append(_rule("prefer(%d,%d,%s) :- %s." % (a, b, X, ap), "prefer-lift"))
+        stmts.append(_rule("isPreferred(R1,R2,%s) :- prefer(R1,R2,%s)." % (X, X), "preference-closure"))
         stmts.append(
             _rule(
                 "isPreferred(R1,R3,%s) :- prefer(R1,R2,%s), isPreferred(R2,R3,%s)." % (X, X, X),
-                "preference-closure", rdom,
+                "preference-closure",
             )
         )
-        stmts.append(_rule(":- isPreferred(R,R,%s)." % X, "preference-irreflexive", xdom + (("R", cr_like),)))
+        stmts.append(_rule(":- isPreferred(R,R,%s)." % X, "preference-irreflexive"))
         for a, b in sorted(closure):
             stmts.append(
                 _rule(
                     ":- isPreferred(%d,%d,%s), X%d>0, X%d>0." % (a, b, X, a, b),
-                    "preference-applied-conflict", xdom,
+                    "preference-applied-conflict",
                 )
             )
         for a, b in sorted(closure):
@@ -590,7 +556,7 @@ def crp2asp(p: Program) -> AspDocument:
                 _rule(
                     dominate + "isPreferred(%d,%d,%s), isPreferred(%d,%d,%s), X%d>0, Y%d>0."
                     % (a, b, X, a, b, Y, a, b),
-                    "rulewise-dominance", xydom, "global",
+                    "rulewise-dominance", "global",
                 )
             )
 
@@ -615,8 +581,7 @@ class _DocReader:
     """Parses the emitter's own output back into statement ASTs; the
     translations build their fixed-shape rules with it (`_read`).
 
-    Tags, phases and variable domains are construction knowledge and come
-    back empty; everything the text carries (heads, bodies, aggregates,
+    Tags and phases are construction knowledge and come back empty; everything the text carries (heads, bodies, aggregates,
     bounds, weights, constants) round-trips exactly.
     """
 

@@ -9,7 +9,6 @@ from lpodc import crp as crp_semantics
 from lpodc import evaluate, lpod
 from lpodc.engine import ChoiceHead, GroundProgram, optimal_answer_sets
 from lpodc.evaluate import (
-    _ground,
     _solve_tuple,
     dump_ground,
     eval_crp,
@@ -28,6 +27,8 @@ from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 from lpodc.translate import (
     AggElem,
     AspDocument,
+    ChoiceExpr,
+    Cmp,
     CountExpr,
     FactPoolStmt,
     Lit,
@@ -375,10 +376,8 @@ def test_tuple_ground_program_equals_grounding_per_tuple(pi1, pi2, pi3, pi3p):
     docs = _tuple_corpus(pi1, pi2, pi3, pi3p)
     tuples = 0
     for doc in docs:
-        statements = _tuple_phase(doc)
         for xs in doc.tuple_space():
-            fixed = {"X%d" % i: x for i, x in enumerate(xs, start=1)}
-            reference = _ground(doc, statements, fixed)
+            reference = tuple_ground_program(doc, xs)
             assert _searched_rules(doc, xs) == _ground_rules(reference), xs
             # its one weak constraint is :~ ap(xs). [-1, xs], which every
             # model of the tuple's search pays, so the search has no weak rows
@@ -639,12 +638,41 @@ def test_global_layer_rejects_negation_and_counts_inside_a_cycle():
         Lit("p", (x,)),
         (Lit("q", (x,)), CountExpr(elements=(AggElem(Lit("r", (y,))),), upper=0)),
         phase="global",
-        var_domains=(("Y", (1, 2)),),
     )
     back = RuleStmt(Lit("r", (x,)), (Lit("p", (x,)),), phase="global")
     for statements in ((negative,), (count, back)):
         with pytest.raises(ValueError, match="not stratified"):
             evaluate_global_layer(_global_document(*statements), {"q": {(1,)}})
+
+
+def test_a_variable_that_no_item_binds_is_unsafe():
+    # every statement is safe: a variable is bound by the body or raises
+    x, y = Var("X"), Var("Y")
+    q = Lit("q", (x,))
+    statements = [
+        RuleStmt(Lit("p", (x,)), (q, Cmp("<", x, y)), phase="global"),
+        RuleStmt(Lit("p", (x,)), (q, Lit("r", (y,), neg=True)), phase="global"),
+        RuleStmt(Lit("p", (x, y)), (q,), phase="global"),
+    ]
+    for stmt in statements:
+        with pytest.raises(ValueError, match="unsafe variable Y"):
+            evaluate_global_layer(_global_document(stmt), {"q": {(1,)}, "r": {(2,)}})
+        with pytest.raises(ValueError, match="unsafe variable Y"):
+            ground_document(_global_document(RuleStmt(Lit("q", (1,))), RuleStmt(Lit("r", (2,))), stmt))
+    # a choice head's element atoms are defined, not read: only their
+    # conditions bind them, though the possible atoms hold p(1)
+    choice = RuleStmt(ChoiceExpr((AggElem(Lit("p", (y,))),)), (Lit("p", (x,)),))
+    with pytest.raises(ValueError, match="unsafe variable Y"):
+        tuple_ground_program(_global_document(RuleStmt(Lit("p", (1,))), choice), ())
+
+
+def test_template_atom_ids_follow_the_sort_order(pi1, pi3p):
+    # numbered once per document, whatever the string hash seed
+    for doc in (lpod2asp_base(pi1), crp2asp(pi3p)):
+        _solve_tuple(doc, doc.tuple_space()[0])
+        ids = doc.templates["ids"]
+        assert list(ids) == sorted(ids, key=Atom.sort_key)
+        assert list(ids.values()) == list(range(len(ids)))
 
 
 def test_each_global_rule_is_joined_once(pi2, monkeypatch):

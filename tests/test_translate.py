@@ -9,9 +9,8 @@ import pytest
 
 import goldens
 from conftest import PROGRAMS, load_program, tokens
-from lpodc import translate
 from lpodc.lpod import Criterion
-from lpodc.model import Dialect, Term, canonicalize
+from lpodc.model import Dialect, canonicalize
 from lpodc.parser import parse, render
 from lpodc.randgen import random_crp, random_lpod, random_lpod_args
 from lpodc.translate import (
@@ -183,7 +182,7 @@ def test_rulewise_block_only_with_prefer(pi3, pi3p):
 
 
 def _bare(statements):
-    return [replace(s, tag="", phase="", var_domains=()) for s in statements]
+    return [replace(s, tag="", phase="") for s in statements]
 
 
 def _assert_round_trip(doc):
@@ -284,28 +283,6 @@ def test_crp_without_ordered_or_prefer_has_no_dominate_rules():
     assert ":- ap(X1), ap(Y1)" not in text
     # candidate mirrors ap via the empty dominate relation
     assert "candidate(X1) :- ap(X1), {dominate(P,ap(X1))}0." in text
-
-
-def test_criterion_layers_build_no_ap_terms(pi2, pi3p, monkeypatch):
-    # the P/P1/P2 domain is the tuple space; only a grounder enumerating it
-    # makes its ap terms, and the emitted text never does
-    made = []
-
-    class CountingTerm(Term):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(translate, "Term", CountingTerm)
-    base = lpod2asp_base(pi2)
-    for criterion in Criterion:
-        doc = lpod2asp_criterion(base, criterion)
-        emit(doc)
-        assert made == [], criterion
-    emit(crp2asp(pi3p))
-    assert made == []
-    ((_, domain),) = [d for d in doc.statements[-1].var_domains if d[0] == "P"]
-    assert len(list(domain)) == len(base.tuple_space()) == len(made)
 
 
 def test_identity_memos_end_with_their_call():
